@@ -62,10 +62,11 @@ def main() -> None:
     timeline = observer.timelines()[0]
     print("\nobserved per-level profile:")
     for span in timeline.levels:
+        f = span.fields
         print(
-            f"  level {span.level} (size {span.size:2d}, "
-            f"{span.blocks} block(s)): {span.splits} splits, "
-            f"{span.switch_ops} switch ops, {span.duration_ns / 1e3:.0f} us"
+            f"  level {f['level']} (size {f['size']:2d}, "
+            f"{f['blocks']} block(s)): {f['splits']} splits, "
+            f"{f['switch_ops']} switch ops, {f['duration_ns'] / 1e3:.0f} us"
         )
     print(f"end-to-end frame latency: {timeline.duration_ns / 1e3:.0f} us")
 

@@ -106,11 +106,11 @@ from .faults import (
 )
 from .obs import (
     CompositeObserver,
+    Event,
     MetricsObserver,
     MetricsRegistry,
     NullSink,
     Observer,
-    ResilienceEvent,
     TracingObserver,
 )
 from .resilience import (
@@ -141,6 +141,7 @@ __all__ = [
     "ControlPolicy",
     "DeadlineBudget",
     "DegradedResult",
+    "Event",
     "FabricCluster",
     "FabricReplica",
     "FabricSnapshot",
@@ -158,7 +159,6 @@ __all__ = [
     "Observer",
     "QueueingSimulator",
     "ReplicaState",
-    "ResilienceEvent",
     "RetryPolicy",
     "RollingRestart",
     "RoutingResult",

@@ -626,15 +626,16 @@ def _profile_rows(tracing) -> list:
     agg = {}
     for tl in tracing.timelines():
         for span in tl.levels:
+            f = span.fields
             row = agg.setdefault(
-                span.level, {"size": span.size, "frames": 0, "splits": 0,
+                f["level"], {"size": f["size"], "frames": 0, "splits": 0,
                              "ops": 0, "ns": 0, "stages": {}}
             )
             row["frames"] += 1
-            row["splits"] += span.splits
-            row["ops"] += span.switch_ops
-            row["ns"] += span.duration_ns
-            for stage, ns in span.stage_ns.items():
+            row["splits"] += f["splits"]
+            row["ops"] += f["switch_ops"]
+            row["ns"] += f["duration_ns"]
+            for stage, ns in f["stage_ns"].items():
                 row["stages"][stage] = row["stages"].get(stage, 0) + ns
     rows = []
     for level in sorted(agg):

@@ -43,12 +43,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Dict, Iterable, List, Optional
 
 from ..core.serialization import assignment_fingerprint
 from ..errors import ReproError
-from ..obs.events import ClusterEvent
+from ..obs.events import emit
 from .config import ClusterConfig
 from .replica import FabricReplica, ReplicaState, is_shed
 from .router import ClusterRouter
@@ -114,9 +113,8 @@ class FabricCluster:
             replica is built from ``config.network``; the observer on
             that config (e.g. a thread-safe
             :class:`~repro.obs.MetricsObserver`) is shared by the
-            replicas *and* receives the cluster's own
-            :class:`~repro.obs.events.ClusterEvent` stream
-            (``repro_cluster_*`` metric families).
+            replicas *and* receives the cluster's own ``cluster``
+            events (``repro_cluster_*`` metric families).
         mode: routing mode for every frame.
         strict: verification strictness (see
             :class:`~repro.core.fabric.MulticastFabric`).
@@ -161,23 +159,8 @@ class FabricCluster:
         self._kills: Dict[int, List[int]] = {}
         self._restart = None
         for replica in self.replicas:
-            self._emit_state(replica)
-
-    # -- observability -------------------------------------------------
-    def _emit(self, action: str, **kw) -> None:
-        obs = self.observer
-        if obs is not None and obs.enabled:
-            obs.on_cluster(
-                ClusterEvent(action=action, t_ns=perf_counter_ns(), **kw)
-            )
-
-    def _emit_state(self, replica: FabricReplica) -> None:
-        self._emit(
-            "state",
-            replica=replica.index,
-            state=replica.state.value,
-            up=self.up_count,
-        )
+            emit(self.observer, "cluster", "state", replica=replica.index,
+                 state=replica.state.value, up=self.up_count)
 
     @property
     def up_count(self) -> int:
@@ -213,8 +196,9 @@ class FabricCluster:
             return
         replica.kill()
         self.stats.kills += 1
-        self._emit("killed", replica=index)
-        self._emit_state(replica)
+        emit(self.observer, "cluster", "killed", replica=index)
+        emit(self.observer, "cluster", "state", replica=index,
+             state=replica.state.value, up=self.up_count)
 
     def rolling_restart(self, drain_frames=None, snapshot_dir=None):
         """Attach (and return) a
@@ -244,7 +228,7 @@ class FabricCluster:
         idx = self._frame_index
         self._frame_index += 1
         if self._restart is not None:
-            self._restart.on_frame(idx)
+            self._restart.advance(idx)
         fingerprint = assignment_fingerprint(assignment)
         order = self.router.order(fingerprint, self.replicas)
         if not order:
@@ -291,7 +275,7 @@ class FabricCluster:
             stats.shed_frames += 1
             if requeued:
                 stats.requeues += 1
-            self._emit("shed", replica=served_by.index)
+            emit(self.observer, "cluster", "shed", replica=served_by.index)
             return result
         stats.frames += 1
         stats.per_replica[served_by.index] += 1
@@ -307,16 +291,19 @@ class FabricCluster:
                 stats.lost_terminals += lost
         else:
             stats.deliveries += terminals
-        stats.plan_cache_hits += getattr(result, "plan_cache_hits", 0)
-        stats.plan_cache_misses += getattr(result, "plan_cache_misses", 0)
+        stats.plan_cache_hits += result.plan_cache_hits
+        stats.plan_cache_misses += result.plan_cache_misses
         if requeued:
             stats.requeues += 1
-            self._emit("requeued", replica=served_by.index)
+            emit(self.observer, "cluster", "requeued",
+                 replica=served_by.index)
         elif spilled:
             stats.spillovers += 1
-            self._emit("spillover", replica=served_by.index)
+            emit(self.observer, "cluster", "spillover",
+                 replica=served_by.index)
         else:
-            self._emit("submitted", replica=served_by.index)
+            emit(self.observer, "cluster", "submitted",
+                 replica=served_by.index)
         return result
 
     # -- reporting -----------------------------------------------------

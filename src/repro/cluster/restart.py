@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
+from ..obs.events import emit
 from .replica import ReplicaState
 
 __all__ = ["RollingRestart"]
@@ -87,7 +88,7 @@ class RollingRestart:
         for i in range(count):
             self.schedule(i, (i + 1) * total_frames // (count + 1))
 
-    def on_frame(self, index: int) -> None:
+    def advance(self, index: int) -> None:
         """Advance the campaign to cluster frame ``index`` (called by
         :meth:`FabricCluster.submit` before placement)."""
         for rid in self._begin.pop(index, ()):
@@ -119,14 +120,16 @@ class RollingRestart:
 
     # -- internals -----------------------------------------------------
     def _drain(self, rid: int) -> bool:
-        replica = self.cluster.replicas[rid]
+        cluster = self.cluster
+        replica = cluster.replicas[rid]
         if not replica.alive:
             # Killed before its restart slot: the cycle still runs, as
             # a cold restart (there is no fabric left to snapshot).
             return True
         replica.drain()
-        self.cluster._emit("drain", replica=rid)
-        self.cluster._emit_state(replica)
+        emit(cluster.observer, "cluster", "drain", replica=rid)
+        emit(cluster.observer, "cluster", "state", replica=rid,
+             state=replica.state.value, up=cluster.up_count)
         return True
 
     def _start(self, rid: int, index: int) -> None:
@@ -141,16 +144,17 @@ class RollingRestart:
         snap = None
         if replica.state is not ReplicaState.DOWN:
             snap = replica.snapshot()
-            cluster._emit(
-                "snapshot", replica=rid, frames=len(snap.assignments)
-            )
+            emit(cluster.observer, "cluster", "snapshot", replica=rid,
+                 plans=len(snap.assignments))
             if self.snapshot_dir is not None:
                 snap.save(
                     os.path.join(self.snapshot_dir, f"replica-{rid}.json")
                 )
         warmed = replica.restart(snap)
         cluster.stats.restarts += 1
-        cluster._emit("restore", replica=rid, plans=warmed)
-        cluster._emit("readmit", replica=rid)
-        cluster._emit_state(replica)
+        emit(cluster.observer, "cluster", "restore", replica=rid,
+             plans=warmed)
+        emit(cluster.observer, "cluster", "readmit", replica=rid)
+        emit(cluster.observer, "cluster", "state", replica=rid,
+             state=replica.state.value, up=cluster.up_count)
         self.completed.append(rid)

@@ -19,8 +19,8 @@ The pieces, smallest to largest:
   admission, compile-ahead depth, worker target, breaker-aware backoff.
 * :class:`~repro.control.plane.ControlPlane` — the tick loop that
   wires windows to controllers to actuators, logs every decision, and
-  emits :class:`~repro.obs.events.ControlEvent` samples into the
-  ``repro_control_*`` metric families.
+  emits ``control`` events into the ``repro_control_*`` metric
+  families.
 
 Determinism is the contract: controllers consume only signals that are
 pure functions of the seed and the arrival trace (caller-thread event

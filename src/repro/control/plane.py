@@ -24,9 +24,8 @@ else.  Wall-clock timestamps are deliberately excluded: the log is a
 pure function of the seed and the arrival trace, so three runs of the
 same campaign produce byte-identical exports
 (:meth:`ControlPlane.export_decision_log`).  The same adjustments are
-emitted as :class:`~repro.obs.events.ControlEvent`\\ s (which *do*
-carry ``t_ns``, for tracing) into the ``repro_control_*`` metric
-families.
+emitted as ``("control", "adjust")`` events (which *do* carry ``t_ns``,
+for tracing) into the ``repro_control_*`` metric families.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional
 
-from ..obs.events import ControlEvent
+from ..obs.events import emit
 from .controllers import (
     AdmissionState,
     BackoffState,
@@ -63,9 +61,9 @@ class ControlPlane:
         policy: the :class:`~repro.control.policy.ControlPolicy`
             envelope (default: ``ControlPolicy()``).
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving :class:`~repro.obs.events.ControlEvent` samples
-            (the owner's configured observer — the plane's own signal
-            aggregator is separate and always on).
+            receiving ``control`` events (the owner's configured
+            observer — the plane's own signal aggregator is separate
+            and always on).
 
     Lifecycle: the owner (fabric or simulator) constructs the plane,
     splices :attr:`signals` in front of its observer, :meth:`bind`\\ s
@@ -206,7 +204,7 @@ class ControlPlane:
         )
         window = self.signals.window()
         self.tick_count += 1
-        self._emit(ControlEvent(action="tick", tick=self.tick_count))
+        emit(self.observer, "control", "tick", tick=self.tick_count)
 
         if self._admission is not None:
             self._admission, actions = admission_step(
@@ -252,34 +250,10 @@ class ControlPlane:
                     "reason": a.reason,
                 }
             )
-            self._emit(
-                ControlEvent(
-                    action="adjust",
-                    controller=a.controller,
-                    parameter=a.parameter,
-                    old=float(a.old),
-                    new=float(a.new),
-                    reason=a.reason,
-                    tick=self.tick_count,
-                )
-            )
-
-    def _emit(self, event: ControlEvent) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        if event.t_ns == 0:
-            event = ControlEvent(
-                action=event.action,
-                controller=event.controller,
-                parameter=event.parameter,
-                old=event.old,
-                new=event.new,
-                reason=event.reason,
-                tick=event.tick,
-                t_ns=perf_counter_ns(),
-            )
-        obs.on_control(event)
+            emit(self.observer, "control", "adjust",
+                 controller=a.controller, parameter=a.parameter,
+                 old=float(a.old), new=float(a.new), reason=a.reason,
+                 tick=self.tick_count)
 
     # -- the decision log ------------------------------------------------
     def decision_log(self) -> List[Dict[str, object]]:

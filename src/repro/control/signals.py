@@ -29,13 +29,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from ..obs.events import (
-    CacheEvent,
-    FaultEvent,
-    FrameDone,
-    Observer,
-    ResilienceEvent,
-)
+from ..obs.events import Event, Observer
 
 __all__ = ["SignalWindow", "SignalAggregator"]
 
@@ -133,6 +127,21 @@ class _Bucket:
         self.serve_ns = 0
 
 
+#: The events :meth:`SignalAggregator.on_event` folds into a bucket.
+_SIGNAL_EVENTS = frozenset(
+    {
+        ("brsmn", "frame_done"),
+        ("resilience.gate", "admitted"),
+        ("resilience.gate", "shed"),
+        ("faults.healing", "retry"),
+        ("faults.healing", "lost"),
+        ("faults.healing", "deadline_expired"),
+        ("fastplan.plan_cache", "hit"),
+        ("fastplan.plan_cache", "miss"),
+    }
+)
+
+
 class SignalAggregator(Observer):
     """Fold the observer event stream into per-tick signal buckets.
 
@@ -157,45 +166,41 @@ class SignalAggregator(Observer):
         self._current = _Bucket()
         self._buckets: deque = deque(maxlen=window_ticks)
 
-    # -- event handlers (fold into the current bucket) -------------------
-    def on_frame_done(self, event: FrameDone) -> None:
-        """Count routed frames; accumulate advisory wall-clock time."""
-        with self._lock:
-            self._current.frames += event.frames
-            self._current.serve_ns += event.duration_ns
-
-    def on_resilience(self, event: ResilienceEvent) -> None:
-        """Count admission decisions and deadline expiries."""
+    # -- the event handler (folds into the current bucket) ---------------
+    def on_event(self, event: Event) -> None:
+        """Count routed frames, admission decisions, healing retries,
+        lost terminals and deadline expiries; accumulate the advisory
+        serve time and plan-cache hits / misses (never decision
+        inputs).  Every other event is ignored."""
+        key = (event.stage, event.kind)
+        if key not in _SIGNAL_EVENTS:
+            return
+        fields = event.fields
         with self._lock:
             cur = self._current
-            if event.action == "admitted":
-                if event.priority > 0:
+            if key == ("brsmn", "frame_done"):
+                cur.frames += fields["frames"]
+                cur.serve_ns += fields["duration_ns"]
+            elif key == ("resilience.gate", "admitted"):
+                if fields["priority"] > 0:
                     cur.admitted_high += 1
                 else:
                     cur.admitted_low += 1
-            elif event.action == "shed":
-                if event.priority > 0:
+            elif key == ("resilience.gate", "shed"):
+                if fields["priority"] > 0:
                     cur.shed_high += 1
                 else:
                     cur.shed_low += 1
-            elif event.action == "deadline_expired":
-                cur.deadline_expired += event.frames
-
-    def on_fault(self, event: FaultEvent) -> None:
-        """Count healing retries and abandoned terminals."""
-        with self._lock:
-            if event.action == "retry":
-                self._current.retries += 1
-            elif event.action == "lost":
-                self._current.lost_terminals += len(event.terminals)
-
-    def on_cache_event(self, event: CacheEvent) -> None:
-        """Advisory plan-cache accounting (never a decision input)."""
-        with self._lock:
-            if event.kind == "hit":
-                self._current.cache_hits += 1
-            elif event.kind == "miss":
-                self._current.cache_misses += 1
+            elif key == ("faults.healing", "retry"):
+                cur.retries += 1
+            elif key == ("faults.healing", "lost"):
+                cur.lost_terminals += len(fields["terminals"])
+            elif key == ("faults.healing", "deadline_expired"):
+                cur.deadline_expired += 1
+            elif key == ("fastplan.plan_cache", "hit"):
+                cur.cache_hits += 1
+            elif key == ("fastplan.plan_cache", "miss"):
+                cur.cache_misses += 1
 
     # -- tick boundary ---------------------------------------------------
     def close_tick(

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import InvalidAssignmentError
-from ..obs.events import QueueDepth
+from ..obs.events import emit
 from ..rbn.permutations import check_network_size
 from .admission import Request, conflicts
 from .config import _resolve_config
@@ -208,8 +208,8 @@ class QueueingSimulator:
         max_slots: safety bound on total slots simulated.
         observer: optional :class:`~repro.obs.events.Observer`
             (overrides the config's); receives the routed frames'
-            lifecycle events plus one end-of-slot
-            :class:`~repro.obs.events.QueueDepth` sample per slot.
+            lifecycle events plus one end-of-slot ``queue_depth``
+            event (stage ``arrivals``) per slot.
         max_requeues: fault-aware runs — times a request's failed
             terminals may be put back on the backlog before the request
             is abandoned.
@@ -257,7 +257,7 @@ class QueueingSimulator:
 
             # Splice the plane's signal aggregator in front of the
             # caller's observer so it sees every event the slot loop
-            # emits; ControlEvents go to the caller's observer only.
+            # emits; control events go to the caller's observer only.
             self.control = ControlPlane(cfg.control, observer=cfg.observer)
             cfg = replace(
                 cfg,
@@ -325,7 +325,7 @@ class QueueingSimulator:
         """
         report = QueueingReport(n=self.n)
         obs = self.observer
-        emit = obs is not None and obs.enabled
+        observed = obs is not None and obs.enabled
         prefetch = getattr(self.network, "compile_ahead", 0) > 0
         pending = sorted(arrivals, key=lambda a: a.slot)
         backlog: List[Arrival] = []
@@ -387,10 +387,9 @@ class QueueingSimulator:
                 report.serve_ms.append(
                     (perf_counter_ns() - serve_start) / 1e6
                 )
-            if emit:
-                obs.on_queue_depth(
-                    QueueDepth(slot=slot, depth=len(backlog), served=served_now)
-                )
+            if observed:
+                emit(obs, "arrivals", "queue_depth", slot=slot,
+                     depth=len(backlog), served=served_now)
             if prefetch:
                 self._prefetch_next_slot(backlog, pending, idx, slot + 1)
             if self.control is not None:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
-from ..obs.events import FaultEvent, FrameDone, FrameStart, LevelSpan
+from ..obs.events import Event, emit
 from ..rbn.cells import Cell
 from ..rbn.permutations import check_network_size
 from ..rbn.switches import SwitchSetting
@@ -542,83 +542,92 @@ class BRSMN:
         if emit:
             if result.fault_casualties:
                 self._emit_fault_events(obs, fid, result.fault_casualties)
-            self._emit_frame_done(obs, fid, t0, result, 1)
+            self._emit_frame_done(obs, fid, t0, result, mode, 1)
         return result
 
     # -- observability emission (pay-for-what-you-use) ------------------
     def _emit_frame_start(self, obs, assignment, mode, frames):
-        """Emit ``FrameStart``; returns ``(t0_ns, frame_id)``."""
+        """Emit ``frame_start``; returns ``(t0_ns, frame_id)``."""
         t0 = perf_counter_ns()
         fid = self._frames_emitted
         self._frames_emitted += 1
-        obs.on_frame_start(
-            FrameStart(
-                frame_id=fid,
-                n=self.n,
-                engine=self.engine,
-                mode=mode,
-                frames=frames,
-                active_inputs=len(assignment.active_inputs),
-                fanout=assignment.total_fanout,
-                t_ns=t0,
+        obs.on_event(
+            Event(
+                "frame_start",
+                "brsmn",
+                fid,
+                t0,
+                {
+                    "n": self.n,
+                    "engine": self.engine,
+                    "mode": mode,
+                    "frames": frames,
+                    "active_inputs": len(assignment.active_inputs),
+                    "fanout": assignment.total_fanout,
+                },
             )
         )
         return t0, fid
 
     def _emit_level_spans(self, obs, fid, prof):
-        """Emit one ``LevelSpan`` per recursion level (reference engine)."""
+        """Emit one ``level`` span per recursion level (reference engine)."""
         for size in sorted(prof, reverse=True):
             ns, splits, ops, blocks = prof[size]
             stage = "deliver" if size == 2 else "bsn"
-            obs.on_level(
-                LevelSpan(
-                    frame_id=fid,
-                    level=self.m - (size.bit_length() - 1) + 1,
-                    size=size,
-                    blocks=blocks,
-                    splits=splits,
-                    switch_ops=ops,
-                    stage_ns={stage: ns},
-                    duration_ns=ns,
-                    engine="reference",
-                )
+            emit(
+                obs,
+                "brsmn",
+                "level",
+                fid,
+                level=self.m - (size.bit_length() - 1) + 1,
+                size=size,
+                blocks=blocks,
+                splits=splits,
+                switch_ops=ops,
+                stage_ns={stage: ns},
+                duration_ns=ns,
+                engine="reference",
             )
 
     def _emit_fault_events(self, obs, fid, hits):
-        """Emit one ``injected`` :class:`FaultEvent` per fault hit."""
-        t = perf_counter_ns()
+        """Emit one ``injected`` event per fault hit."""
         attempt = self._injector.attempt if self._injector is not None else 0
         for hit in hits:
-            obs.on_fault(
-                FaultEvent(
-                    action="injected",
-                    kind=hit.fault.kind.value,
-                    level=hit.fault.level,
-                    index=hit.fault.index,
-                    frame_id=fid,
-                    attempt=attempt,
-                    terminals=tuple(hit.outputs),
-                    t_ns=t,
-                )
+            emit(
+                obs,
+                "brsmn",
+                "injected",
+                fid,
+                fault=hit.fault.kind.value,
+                level=hit.fault.level,
+                index=hit.fault.index,
+                attempt=attempt,
+                terminals=tuple(hit.outputs),
             )
 
-    def _emit_frame_done(self, obs, fid, t0, result, frames):
-        """Emit ``FrameDone`` for a finished (batch) routing call."""
+    def _emit_frame_done(self, obs, fid, t0, result, mode, frames):
+        """Emit ``frame_done`` for a finished (batch) routing call."""
         t1 = perf_counter_ns()
         if isinstance(result, BatchRoutingResult):
             deliveries = int((result.delivery_src >= 0).sum())
         else:
             deliveries = sum(1 for o in result.outputs if o is not None)
-        obs.on_frame_done(
-            FrameDone(
-                frame_id=fid,
-                deliveries=deliveries,
-                frames=frames,
-                splits=result.total_splits,
-                switch_ops=result.switch_ops,
-                duration_ns=t1 - t0,
-                cache_hit=result.plan_cache_hit,
-                t_ns=t1,
+        obs.on_event(
+            Event(
+                "frame_done",
+                "brsmn",
+                fid,
+                t1,
+                {
+                    "engine": self.engine,
+                    "mode": mode,
+                    "frames": frames,
+                    "deliveries": deliveries,
+                    "splits": result.total_splits,
+                    "switch_ops": result.switch_ops,
+                    "duration_ns": t1 - t0,
+                    "cache_hit": result.plan_cache_hit,
+                },
             )
         )
 
@@ -805,7 +814,7 @@ class BRSMN:
             if emit:
                 if result.fault_casualties:
                     self._emit_fault_events(obs, fid, result.fault_casualties)
-                self._emit_frame_done(obs, fid, t0, result, mat.shape[0])
+                self._emit_frame_done(obs, fid, t0, result, mode, mat.shape[0])
             return result
         delivery_src = np.full(self.n, -1, dtype=np.int64)
         idle_fill = None if mat.dtype == object else mat.dtype.type(0)

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from time import perf_counter_ns
 from typing import Iterable, List
 
 import os
 
 from ..errors import RoutingInvariantError
-from ..obs.events import CompositeObserver, FaultEvent
+from ..obs.events import CompositeObserver, emit
 from .brsmn import RoutingResult
 from .config import _resolve_config
 from .multicast import MulticastAssignment
@@ -145,9 +144,8 @@ class MulticastFabric:
     event stream and retunes the bound actuators (admission rate and
     reserve, compile-ahead depth, shard worker target, retry backoff)
     once per submission tick; decisions are logged on
-    :attr:`MulticastFabric.control` and emitted as
-    :class:`~repro.obs.events.ControlEvent` samples.  With
-    ``snapshot_path``, :meth:`close` writes a warm-restart
+    :attr:`MulticastFabric.control` and emitted as ``control`` events.
+    With ``snapshot_path``, :meth:`close` writes a warm-restart
     :class:`~repro.resilience.snapshot.FabricSnapshot` there and the
     constructor restores from an existing file (a missing file is a
     cold start).
@@ -180,7 +178,7 @@ class MulticastFabric:
 
             # The plane's signal aggregator is spliced in FRONT of the
             # caller's observer so it sees every event the network will
-            # emit; ControlEvents go to the caller's observer only.
+            # emit; control events go to the caller's observer only.
             self.control = ControlPlane(cfg.control, observer=cfg.observer)
             cfg = replace(
                 cfg,
@@ -355,6 +353,8 @@ class MulticastFabric:
         self.stats.deliveries += result.verification.deliveries
         self.stats.splits += result.total_splits
         self.stats.switch_ops += result.switch_ops
+        self.stats.plan_cache_hits += result.plan_cache_hits
+        self.stats.plan_cache_misses += result.plan_cache_misses
         self.stats.recovered_terminals += len(result.recovered)
         if result.degraded:
             self.stats.degraded_frames += 1
@@ -380,13 +380,7 @@ class MulticastFabric:
                 after = self.health.quarantine()
                 self.stats.quarantines = self.health.quarantines
                 if after is not before:
-                    obs = self.observer
-                    if obs is not None and obs.enabled:
-                        obs.on_fault(
-                            FaultEvent(
-                                action="quarantined", t_ns=perf_counter_ns()
-                            )
-                        )
+                    emit(self.observer, "fabric", "quarantined")
         return result
 
     def _record_health(self, degraded: bool) -> None:
@@ -394,18 +388,9 @@ class MulticastFabric:
         before = self.health.state
         after = self.health.record(degraded)
         self.stats.quarantines = self.health.quarantines
-        if after is before:
-            return
-        obs = self.observer
-        if obs is not None and obs.enabled:
-            action = {
-                "quarantined": "quarantined",
-                "probation": "probation",
-                "healthy": "readmitted",
-            }[after.value]
-            obs.on_fault(
-                FaultEvent(action=action, t_ns=perf_counter_ns())
-            )
+        if after is not before:
+            kind = "readmitted" if after.value == "healthy" else after.value
+            emit(self.observer, "fabric", kind)
 
     def prefetch(self, assignment: MulticastAssignment) -> bool:
         """Warm the primary network's plan cache for an upcoming frame.

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
-from ..obs.events import CacheEvent, LevelSpan
+from ..obs.events import Event, emit
 from ..rbn.fast import fast_divide_epsilons_batch, fast_sort_permutation_batch
 from ..rbn.fast_scatter import (
     CODE_ALPHA,
@@ -301,8 +301,8 @@ def compile_frame_plan(
     Args:
         assignment: the multicast assignment to compile.
         observer: optional enabled :class:`~repro.obs.events.Observer` —
-            when given, each recursion level emits a
-            :class:`~repro.obs.events.LevelSpan` with per-stage
+            when given, each recursion level emits a ``("fastplan",
+            "level")`` :class:`~repro.obs.events.Event` with per-stage
             ``perf_counter_ns`` spans (``tag`` / ``scatter`` /
             ``quasisort`` / ``gather``) plus the level's split and
             switch-operation counts.
@@ -421,17 +421,22 @@ def compile_frame_plan(
         if emit:
             now = perf_counter_ns()
             stage_ns["gather"] = now - t_stage
-            observer.on_level(
-                LevelSpan(
-                    frame_id=frame_id,
-                    level=m - (size.bit_length() - 1) + 1,
-                    size=size,
-                    blocks=blocks,
-                    splits=int(na.sum()),
-                    switch_ops=int(blocks * 2 * half * m_blk),
-                    stage_ns=stage_ns,
-                    duration_ns=now - t_level,
-                    engine="fast",
+            observer.on_event(
+                Event(
+                    "level",
+                    "fastplan",
+                    frame_id,
+                    now,
+                    {
+                        "level": m - (size.bit_length() - 1) + 1,
+                        "size": size,
+                        "blocks": blocks,
+                        "splits": int(na.sum()),
+                        "switch_ops": int(blocks * 2 * half * m_blk),
+                        "stage_ns": stage_ns,
+                        "duration_ns": now - t_level,
+                        "engine": "fast",
+                    },
                 )
             )
         size = half
@@ -572,8 +577,8 @@ class PlanCache:
 
     The cache is thread-safe: the hit/miss counters and the LRU map are
     only touched under one internal mutex, and
-    :class:`~repro.obs.events.CacheEvent` emission happens *outside*
-    the critical section — the event payloads (sizes included) are
+    ``fastplan.plan_cache`` event emission happens *outside* the
+    critical section — the event payloads (sizes included) are
     snapshotted under the lock, then delivered in that deterministic
     order, so a slow observer can never stall (or deadlock with)
     another routing thread.  Compilation also runs outside the lock;
@@ -588,8 +593,8 @@ class PlanCache:
         hits: lookups answered from the cache.
         misses: lookups that had to compile.
         observer: optional :class:`~repro.obs.events.Observer` receiving
-            a :class:`~repro.obs.events.CacheEvent` per hit, miss,
-            eviction and clear.
+            a ``fastplan.plan_cache`` event per hit, miss, eviction and
+            clear.
     """
 
     maxsize: int = 256
@@ -611,18 +616,6 @@ class PlanCache:
         """The cache key of an assignment (+ optional compiler suffix)."""
         key = assignment_fingerprint(assignment)
         return f"{key}@{extra_key}" if extra_key else key
-
-    def _emit(self, events) -> None:
-        """Deliver snapshotted ``(kind, key, size)`` events, in order."""
-        obs = self.observer
-        if obs is None or not obs.enabled or not events:
-            return
-        for kind, key, size in events:
-            obs.on_cache_event(
-                CacheEvent(
-                    kind=kind, key=key, size=size, t_ns=perf_counter_ns()
-                )
-            )
 
     def __len__(self) -> int:
         with self._lock:
@@ -677,15 +670,15 @@ class PlanCache:
             if plan is not None:
                 self.hits += 1
                 self._plans.move_to_end(key)
-                events = [("hit", key, len(self._plans))]
             else:
                 self.misses += 1
-                events = [("miss", key, len(self._plans))]
-        self._emit(events)
+            size = len(self._plans)
+        kind = "hit" if plan is not None else "miss"
+        emit(self.observer, "fastplan.plan_cache", kind, key=key, size=size)
         if plan is not None:
             return plan, True
         plan = compile_fn(assignment)
-        events = []
+        evicted = []
         with self._lock:
             raced = self._plans.get(key)
             if raced is not None:
@@ -697,10 +690,12 @@ class PlanCache:
                 self._plans[key] = plan
                 self._assignments[key] = assignment
                 while len(self._plans) > self.maxsize:
-                    evicted, _ = self._plans.popitem(last=False)
-                    self._assignments.pop(evicted, None)
-                    events.append(("evict", evicted, len(self._plans)))
-        self._emit(events)
+                    old, _ = self._plans.popitem(last=False)
+                    self._assignments.pop(old, None)
+                    evicted.append((old, len(self._plans)))
+        for old, size in evicted:
+            emit(self.observer, "fastplan.plan_cache", "evict", key=old,
+                 size=size)
         return plan, False
 
     def snapshot_assignments(self) -> List[MulticastAssignment]:
@@ -721,5 +716,4 @@ class PlanCache:
             self._assignments.clear()
             self.hits = 0
             self.misses = 0
-            events = [("clear", "", 0)]
-        self._emit(events)
+        emit(self.observer, "fastplan.plan_cache", "clear", key="", size=0)

@@ -33,12 +33,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from time import perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 from ..core.multicast import MulticastAssignment
 from ..core.verification import VerificationReport, verify_delivery
-from ..obs.events import FaultEvent, ResilienceEvent
+from ..obs.events import emit
 
 __all__ = [
     "RetryPolicy",
@@ -165,6 +164,9 @@ class DegradedResult:
         engine: engine of the underlying network.
         total_splits: alpha splits summed over every pass.
         switch_ops: 2x2 switch applications summed over every pass.
+        plan_cache_hits / plan_cache_misses: plan-cache lookups of every
+            pass answered from the cache / compiled (0 on the reference
+            engine).
         verification: report of ``outputs`` against ``assignment``
             (its violations are exactly the lost terminals).
         deadline_expired: True when the healing loop stopped early
@@ -183,6 +185,8 @@ class DegradedResult:
     engine: str = "reference"
     total_splits: int = 0
     switch_ops: int = 0
+    plan_cache_hits: int = 0
+    plan_cache_misses: int = 0
     verification: Optional[VerificationReport] = None
     deadline_expired: bool = False
     short_circuited: bool = False
@@ -216,18 +220,6 @@ class DegradedResult:
     def degraded(self) -> bool:
         """True when any terminal needed healing or was lost."""
         return self.attempts > 1 or bool(self.lost)
-
-
-def _emit(observer, event: FaultEvent) -> None:
-    if observer is not None and observer.enabled:
-        observer.on_fault(event)
-
-
-def _emit_resilience(observer, action: str) -> None:
-    if observer is not None and observer.enabled:
-        observer.on_resilience(
-            ResilienceEvent(action=action, t_ns=perf_counter_ns())
-        )
 
 
 def _correct(msg, expected_source: int) -> bool:
@@ -288,6 +280,8 @@ def route_with_healing(
             engine=getattr(result, "engine", "reference"),
             total_splits=result.total_splits,
             switch_ops=result.switch_ops,
+            plan_cache_hits=result.plan_cache_hits,
+            plan_cache_misses=result.plan_cache_misses,
         )
         failed: List[int] = []
         for o in terminals:
@@ -303,36 +297,22 @@ def route_with_healing(
         while failed and retry < policy.max_retries:
             if budget is not None and budget.expired:
                 outcome.deadline_expired = True
-                _emit_resilience(observer, "deadline_expired")
+                emit(observer, "faults.healing", "deadline_expired")
                 break
             if breaker is not None and breaker.is_open:
                 outcome.short_circuited = True
                 break
             retry += 1
             outcome.attempts += 1
-            _emit(
-                observer,
-                FaultEvent(
-                    action="detected",
-                    attempt=retry - 1,
-                    terminals=tuple(failed),
-                    t_ns=perf_counter_ns(),
-                ),
-            )
+            emit(observer, "faults.healing", "detected", attempt=retry - 1,
+                 terminals=tuple(failed))
             delay = policy.delay(retry)
             if budget is not None:
                 delay = budget.clamp(delay)
             if delay > 0:
                 time.sleep(delay)
-            _emit(
-                observer,
-                FaultEvent(
-                    action="retry",
-                    attempt=retry,
-                    terminals=tuple(failed),
-                    t_ns=perf_counter_ns(),
-                ),
-            )
+            emit(observer, "faults.healing", "retry", attempt=retry,
+                 terminals=tuple(failed))
             repair_map: Dict[int, List[int]] = {}
             for o in failed:
                 repair_map.setdefault(inverse[o], []).append(o)
@@ -342,6 +322,8 @@ def route_with_healing(
             repaired = network.route(repair, mode=mode, payloads=payloads)
             outcome.total_splits += repaired.total_splits
             outcome.switch_ops += repaired.switch_ops
+            outcome.plan_cache_hits += repaired.plan_cache_hits
+            outcome.plan_cache_misses += repaired.plan_cache_misses
             still_failed: List[int] = []
             healed: List[int] = []
             for o in failed:
@@ -357,15 +339,8 @@ def route_with_healing(
                 else:
                     still_failed.append(o)
             if healed:
-                _emit(
-                    observer,
-                    FaultEvent(
-                        action="recovered",
-                        attempt=retry,
-                        terminals=tuple(healed),
-                        t_ns=perf_counter_ns(),
-                    ),
-                )
+                emit(observer, "faults.healing", "recovered", attempt=retry,
+                     terminals=tuple(healed))
             failed = still_failed
 
         for o in failed:
@@ -376,15 +351,8 @@ def route_with_healing(
                 attempts=outcome.attempts,
             )
         if failed:
-            _emit(
-                observer,
-                FaultEvent(
-                    action="lost",
-                    attempt=outcome.attempts - 1,
-                    terminals=tuple(failed),
-                    t_ns=perf_counter_ns(),
-                ),
-            )
+            emit(observer, "faults.healing", "lost",
+                 attempt=outcome.attempts - 1, terminals=tuple(failed))
     finally:
         if injector is not None:
             injector.attempt = 0

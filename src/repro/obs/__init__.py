@@ -5,10 +5,12 @@ pass any :class:`Observer` to
 :class:`~repro.core.config.NetworkConfig` (or directly to
 :class:`~repro.core.fabric.MulticastFabric` /
 :class:`~repro.core.brsmn.BRSMN` /
-:class:`~repro.core.arrivals.QueueingSimulator`) and the stack emits
-frame lifecycle events, per-recursion-level profiling spans and
-plan-cache events.  With no observer — or a :class:`NullSink` — the
-hot path pays one attribute test per frame.
+:class:`~repro.core.arrivals.QueueingSimulator`) and every layer
+reports to its :meth:`Observer.on_event` one :class:`Event` per thing
+that happened — frame lifecycle, per-recursion-level profiling spans,
+plan-cache outcomes, faults, overload and cluster decisions — tagged
+with the ``(stage, kind)`` that names it.  With no observer — or a
+:class:`NullSink` — the hot path pays one attribute test per frame.
 
 Three subscribers ship with the library:
 
@@ -31,20 +33,7 @@ Quick start::
     print(obs.registry.to_prometheus_text())
 """
 
-from .events import (
-    CacheEvent,
-    ClusterEvent,
-    CompositeObserver,
-    FaultEvent,
-    FrameDone,
-    FrameStart,
-    LevelSpan,
-    NullSink,
-    Observer,
-    ParallelEvent,
-    QueueDepth,
-    ResilienceEvent,
-)
+from .events import CompositeObserver, Event, NullSink, Observer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, log2_buckets
 from .metrics_observer import MetricsObserver
 from .prometheus import parse_prometheus_text, render_prometheus_text
@@ -52,18 +41,10 @@ from .reference import metrics_reference_markdown
 from .tracing import FrameTimeline, TracingObserver
 
 __all__ = [
-    "CacheEvent",
-    "ClusterEvent",
     "CompositeObserver",
-    "FaultEvent",
-    "FrameDone",
-    "FrameStart",
-    "LevelSpan",
+    "Event",
     "NullSink",
     "Observer",
-    "ParallelEvent",
-    "QueueDepth",
-    "ResilienceEvent",
     "Counter",
     "Gauge",
     "Histogram",

@@ -56,11 +56,14 @@ def log2_buckets(lo_exp: int = 0, hi_exp: int = 32) -> Tuple[float, ...]:
 def _label_key(
     labelnames: Tuple[str, ...], labels: Dict[str, object]
 ) -> Tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise ValueError(
-            f"expected labels {labelnames}, got {tuple(sorted(labels))}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
+    if len(labels) == len(labelnames):
+        try:
+            return tuple([str(labels[name]) for name in labelnames])
+        except KeyError:
+            pass
+    raise ValueError(
+        f"expected labels {labelnames}, got {tuple(sorted(labels))}"
+    )
 
 
 class _Metric:

@@ -13,9 +13,8 @@ subpackage scales that service across a worker pool:
   fingerprint compile exactly once, every other thread waits on the
   in-flight future and is counted as *coalesced*;
 * :class:`~repro.parallel.workers.WorkerPool` — a bounded executor
-  with busy-worker accounting, emitting
-  :class:`~repro.obs.events.ParallelEvent` samples so worker
-  utilisation is observable like everything else;
+  with busy-worker accounting, emitting ``parallel.workers`` events so
+  worker utilisation is observable like everything else;
 * :class:`~repro.parallel.shard.ShardedBatchRouter` — splits a
   ``(batch, n)`` payload matrix into contiguous zero-copy row shards,
   routes each shard on the pool, and merges the results

@@ -17,7 +17,7 @@ single-flight guarantee makes the race benign in both directions).
 The queue is bounded by ``depth``: a prefetch beyond it is *dropped*,
 never queued — lookahead is an optimisation, and an unbounded compile
 backlog would steal workers from routing shards.  Drops are observable
-(``action="drop"`` :class:`~repro.obs.events.ParallelEvent`), and the
+(``("parallel.pipeline", "drop")`` events), and the
 pending count is exported as ``repro_parallel_compile_queue_depth``.
 """
 
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import wait
-from time import perf_counter_ns
 from typing import Callable, Optional, Set
 
 from ..core.fastplan import FramePlan, compile_frame_plan
 from ..core.multicast import MulticastAssignment
-from ..obs.events import ParallelEvent
+from ..obs.events import emit
 from .plan_cache import ConcurrentPlanCache
 from .workers import WorkerPool
 
@@ -105,21 +104,6 @@ class CompileAheadPipeline:
         with self._lock:
             self.depth = depth
 
-    def _emit(self, action: str) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_parallel(
-            ParallelEvent(
-                action=action,
-                kind="compile",
-                workers=self.pool.workers,
-                busy=self.pool.busy,
-                queue_depth=self._pending,
-                t_ns=perf_counter_ns(),
-            )
-        )
-
     # -- the pipeline ----------------------------------------------------
     def prefetch(self, assignment: MulticastAssignment) -> bool:
         """Schedule a background compile of ``assignment``'s plan.
@@ -139,10 +123,13 @@ class CompileAheadPipeline:
                 self._pending += 1
                 self.prefetches += 1
                 drop = False
+        obs = self.observer
+        if obs is not None and obs.enabled:
+            emit(obs, "parallel.pipeline", "drop" if drop else "enqueue",
+                 task="compile", workers=self.pool.workers,
+                 busy=self.pool.busy, queue_depth=self._pending)
         if drop:
-            self._emit("drop")
             return False
-        self._emit("enqueue")
         future = self.pool.submit("compile", self._compile, assignment)
         with self._lock:
             self._futures.add(future)

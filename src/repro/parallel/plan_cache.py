@@ -19,8 +19,8 @@ module fixes both ends:
 
 Event emission follows the base cache's discipline: payloads are
 snapshotted inside the critical section and delivered outside it, in
-that order, with the extra ``kind="coalesced"``
-:class:`~repro.obs.events.CacheEvent` for piggybacked lookups.
+that order, with the extra ``("fastplan.plan_cache", "coalesced")``
+event for piggybacked lookups.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.fastplan import FramePlan, PlanCache, compile_frame_plan
 from ..core.multicast import MulticastAssignment
-from ..obs.events import CacheEvent
+from ..obs.events import emit
 
 __all__ = ["ConcurrentPlanCache"]
 
@@ -78,8 +77,8 @@ class ConcurrentPlanCache:
     Args:
         maxsize: total retained plans across all stripes.
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving a :class:`~repro.obs.events.CacheEvent` per hit /
-            miss / coalesced wait / eviction / clear.
+            receiving a ``fastplan.plan_cache`` event per hit / miss /
+            coalesced wait / eviction / clear.
         stripes: independent lock-striped segments (>= 1).
     """
 
@@ -142,17 +141,6 @@ class ConcurrentPlanCache:
         total = hits + self.misses
         return hits / total if total else 0.0
 
-    def _emit(self, events: List[Tuple[str, str, int]]) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled or not events:
-            return
-        for kind, key, size in events:
-            obs.on_cache_event(
-                CacheEvent(
-                    kind=kind, key=key, size=size, t_ns=perf_counter_ns()
-                )
-            )
-
     # -- the cache protocol ---------------------------------------------
     def contains(
         self, assignment: MulticastAssignment, extra_key: str = ""
@@ -191,21 +179,22 @@ class ConcurrentPlanCache:
             if plan is not None:
                 stripe.hits += 1
                 stripe.plans.move_to_end(key)
-                events = [("hit", key, self._size())]
+                kind = "hit"
                 future = None
                 leader = False
             else:
                 future = stripe.inflight.get(key)
                 if future is not None:
                     stripe.coalesced += 1
-                    events = [("coalesced", key, self._size())]
+                    kind = "coalesced"
                     leader = False
                 else:
                     future = stripe.inflight[key] = Future()
                     stripe.misses += 1
-                    events = [("miss", key, self._size())]
+                    kind = "miss"
                     leader = True
-        self._emit(events)
+            size = self._size()
+        emit(self.observer, "fastplan.plan_cache", kind, key=key, size=size)
         if plan is not None:
             return plan, True
         if not leader:
@@ -218,17 +207,19 @@ class ConcurrentPlanCache:
                 stripe.inflight.pop(key, None)
             future.set_exception(exc)
             raise
-        events = []
+        evicted = []
         with stripe.lock:
             stripe.plans[key] = plan
             stripe.assignments[key] = assignment
             stripe.inflight.pop(key, None)
             while len(stripe.plans) > self._quota:
-                evicted, _ = stripe.plans.popitem(last=False)
-                stripe.assignments.pop(evicted, None)
-                events.append(("evict", evicted, self._size()))
+                old, _ = stripe.plans.popitem(last=False)
+                stripe.assignments.pop(old, None)
+                evicted.append((old, self._size()))
         future.set_result(plan)
-        self._emit(events)
+        for old, size in evicted:
+            emit(self.observer, "fastplan.plan_cache", "evict", key=old,
+                 size=size)
         return plan, False
 
     def snapshot_assignments(self) -> List[MulticastAssignment]:
@@ -260,4 +251,4 @@ class ConcurrentPlanCache:
                 stripe.hits = 0
                 stripe.misses = 0
                 stripe.coalesced = 0
-        self._emit([("clear", "", 0)])
+        emit(self.observer, "fastplan.plan_cache", "clear", key="", size=0)

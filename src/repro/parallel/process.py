@@ -30,12 +30,11 @@ This module is the past-the-GIL backend behind
   once (respawning the broken pool), and a second failure routes the
   shard inline on the submitting thread — so batches always complete,
   bit-identical to the sequential gather.  The same
-  ``shard_requeued`` / ``shard_inline``
-  :class:`~repro.obs.events.ResilienceEvent` samples are emitted, plus
-  :class:`~repro.obs.events.ProcessEvent` samples
-  (``repro_parallel_proc_*`` metric families) for the process-specific
-  machinery: task lifecycle, envelope shipments, shared-memory bytes
-  and pool respawns.
+  ``shard_requeued`` / ``shard_inline`` events are emitted (stage
+  ``parallel.process``), plus events for the process-specific
+  machinery (``repro_parallel_proc_*`` metric families): task
+  lifecycle, envelope shipments, shared-memory bytes and pool
+  respawns.
 
 Determinism is structural, exactly as in the threaded router: shard
 bounds are a pure function of ``(batch, workers)``, every shard owns a
@@ -58,13 +57,12 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from time import perf_counter_ns
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..core.fastplan import FramePlan
-from ..obs.events import ProcessEvent, ResilienceEvent
+from ..obs.events import emit
 from .shard import shard_bounds
 
 __all__ = ["PlanEnvelope", "ProcessShardRouter", "ProcessWorkerPool"]
@@ -264,9 +262,9 @@ class ProcessWorkerPool:
 
     The process twin of :class:`~repro.parallel.workers.WorkerPool`:
     same lazy start, same idempotent/restartable :meth:`shutdown`, same
-    busy accounting — but emitting
-    :class:`~repro.obs.events.ProcessEvent` samples (observers stay in
-    the parent; nothing observational crosses the pickle boundary).
+    busy accounting — but emitting ``parallel.process`` events
+    (observers stay in the parent; nothing observational crosses the
+    pickle boundary).
     The ``fork`` start method is preferred where available (workers
     inherit the imported modules instead of re-importing them), with
     the platform default as fallback; worker entry points are
@@ -331,7 +329,8 @@ class ProcessWorkerPool:
         with self._lock:
             self._busy += 1
             busy = self._busy
-        self._emit("start", kind, busy)
+        emit(self.observer, "parallel.process", "start", task=kind,
+             workers=self.workers, busy=busy)
         future.add_done_callback(self._make_done_callback(kind))
         return future
 
@@ -340,7 +339,8 @@ class ProcessWorkerPool:
             with self._lock:
                 self._busy -= 1
                 busy = self._busy
-            self._emit("done", kind, busy)
+            emit(self.observer, "parallel.process", "done", task=kind,
+                 workers=self.workers, busy=busy)
 
         return _done
 
@@ -351,7 +351,8 @@ class ProcessWorkerPool:
             self.respawns += 1
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
-        self._emit("respawn", "", self.busy)
+        emit(self.observer, "parallel.process", "respawn",
+             workers=self.workers, busy=self.busy)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the pool without leaking processes.  Idempotent; a
@@ -360,21 +361,6 @@ class ProcessWorkerPool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait)
-
-    def _emit(self, action: str, kind: str, busy: int, nbytes: int = 0) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_process(
-            ProcessEvent(
-                action=action,
-                kind=kind,
-                workers=self.workers,
-                busy=busy,
-                bytes=nbytes,
-                t_ns=perf_counter_ns(),
-            )
-        )
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self
@@ -395,10 +381,9 @@ class ProcessShardRouter:
         pool: the :class:`ProcessWorkerPool` shards run on.  The
             submitting thread always routes the last shard inline.
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving the shared ``shard_requeued`` / ``shard_inline``
-            :class:`~repro.obs.events.ResilienceEvent` samples plus
-            process-specific :class:`~repro.obs.events.ProcessEvent`
-            samples (envelopes, shared-memory bytes).
+            receiving ``parallel.process`` events: ``shard_requeued``
+            / ``shard_inline`` recoveries plus envelopes and
+            shared-memory bytes.
 
     Attributes:
         requeues: crashed shard tasks actually resubmitted to the pool
@@ -476,7 +461,10 @@ class ProcessShardRouter:
             in_view = np.ndarray(mat.shape, dtype=mat.dtype, buffer=in_shm.buf)
             in_view[:] = mat
             out_view = np.ndarray(mat.shape, dtype=mat.dtype, buffer=out_shm.buf)
-            self._emit_proc("shm", "shard_shm", nbytes=2 * mat.nbytes)
+            obs = self.observer
+            if obs is not None and obs.enabled:
+                emit(obs, "parallel.process", "shm", bytes=2 * mat.nbytes,
+                     workers=self.pool.workers, busy=self.pool.busy)
             names = (in_shm.name, out_shm.name, mat.shape, mat.dtype.str)
 
             def submit(lo, hi, force_full=False):
@@ -553,14 +541,18 @@ class ProcessShardRouter:
         bookkeeping resets with it (see :meth:`_dispatch`).
         """
         sends = self._envelope_sends.get(envelope.key, 0)
-        if not force_full and sends >= self.pool.workers:
-            self._emit_proc("envelope", "slim")
+        slim = not force_full and sends >= self.pool.workers
+        obs = self.observer
+        if obs is not None and obs.enabled:
+            emit(obs, "parallel.process", "envelope",
+                 shipment="slim" if slim else "full",
+                 workers=self.pool.workers, busy=self.pool.busy)
+        if slim:
             return envelope.thin()
         self._envelope_sends[envelope.key] = sends + 1
         self._envelope_sends.move_to_end(envelope.key)
         while len(self._envelope_sends) > self._SENDS_CAP:
             self._envelope_sends.popitem(last=False)
-        self._emit_proc("envelope", "full")
         return envelope
 
     def _dispatch(self, kind, fn, *args):
@@ -617,10 +609,14 @@ class ProcessShardRouter:
                 if future is None:
                     continue
                 self.requeues += 1
-                self._emit_res("shard_requeued", frames)
+                emit(self.observer, "parallel.process", "shard_requeued",
+                     frames=frames)
                 continue
             if isinstance(result, str) and result == _MISS:
-                self._emit_proc("envelope", "miss")
+                obs = self.observer
+                if obs is not None and obs.enabled:
+                    emit(obs, "parallel.process", "envelope", shipment="miss",
+                         workers=self.pool.workers, busy=self.pool.busy)
                 future = redo()
                 continue
             if on_result is not None:
@@ -629,28 +625,6 @@ class ProcessShardRouter:
 
     def _inline(self, inline, frames: int) -> None:
         self.inline_fallbacks += 1
-        self._emit_res("shard_inline", frames)
+        emit(self.observer, "parallel.process", "shard_inline",
+             frames=frames)
         inline()
-
-    def _emit_res(self, action: str, frames: int) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_resilience(
-            ResilienceEvent(action=action, frames=frames, t_ns=perf_counter_ns())
-        )
-
-    def _emit_proc(self, action: str, kind: str, nbytes: int = 0) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_process(
-            ProcessEvent(
-                action=action,
-                kind=kind,
-                workers=self.pool.workers,
-                busy=self.pool.busy,
-                bytes=nbytes,
-                t_ns=perf_counter_ns(),
-            )
-        )

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from time import perf_counter_ns
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.fastplan import FramePlan
-from ..obs.events import ResilienceEvent
+from ..obs.events import emit
 from .workers import WorkerPool
 
 __all__ = ["ShardedBatchRouter", "shard_bounds"]
@@ -80,9 +79,9 @@ class ShardedBatchRouter:
             single-core host that keeps the sharded path within noise
             of the sequential one.
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving ``shard_requeued`` / ``shard_inline``
-            :class:`~repro.obs.events.ResilienceEvent` samples when a
-            crashed or deadline-stranded shard is recovered.
+            receiving ``parallel.shard`` events (``shard_requeued`` /
+            ``shard_inline``) when a crashed or deadline-stranded shard
+            is recovered.
 
     Attributes:
         requeues: crashed shard tasks *actually* resubmitted to the
@@ -217,22 +216,15 @@ class ShardedBatchRouter:
                     # routes inline (emitting ``shard_inline`` only).
                     continue
                 self.requeues += 1
-                self._emit("shard_requeued", hi - lo)
+                emit(self.observer, "parallel.shard", "shard_requeued",
+                     frames=hi - lo)
 
     def _inline(self, plan, mat, out, lo, hi, attempt) -> None:
         """Route one shard on the submitting thread (the last resort —
         and the guarantee that a batch always completes)."""
         self.inline_fallbacks += 1
-        self._emit("shard_inline", hi - lo)
+        emit(self.observer, "parallel.shard", "shard_inline", frames=hi - lo)
         self._shard(plan, mat, out, lo, hi, attempt)
-
-    def _emit(self, action: str, frames: int) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_resilience(
-            ResilienceEvent(action=action, frames=frames, t_ns=perf_counter_ns())
-        )
 
     @staticmethod
     def _shard(

@@ -12,8 +12,8 @@ verify loops — scale through the process twin instead
 :class:`~repro.parallel.process.ProcessWorkerPool`); see
 ``docs/executors.md`` for the decision table.
 
-Every task emits a pair of :class:`~repro.obs.events.ParallelEvent`
-samples (``start`` / ``done``) carrying the pool size, the busy-worker
+Every task emits a pair of ``parallel.workers`` events (``start`` /
+``done``) carrying the pool size, the busy-worker
 count and the compile-ahead queue depth, which
 :class:`~repro.obs.metrics_observer.MetricsObserver` folds into the
 ``repro_parallel_*`` metric families.  With no observer (or a disabled
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from time import perf_counter_ns
 from typing import Callable, Optional
 
-from ..obs.events import ParallelEvent
+from ..obs.events import emit
 
 __all__ = ["WorkerPool"]
 
@@ -40,8 +39,7 @@ class WorkerPool:
             sharded router then routes inline and only compile-ahead
             uses the thread.
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving ``start`` / ``done``
-            :class:`~repro.obs.events.ParallelEvent` samples.
+            receiving ``start`` / ``done`` events.
 
     The underlying executor is created on first :meth:`submit`, so
     configuring ``workers=4`` costs nothing until parallel work is
@@ -95,38 +93,24 @@ class WorkerPool:
 
     def _run(self, kind: str, fn: Callable, args, kwargs):
         obs = self.observer
-        emit = obs is not None and obs.enabled
+        observed = obs is not None and obs.enabled
         with self._lock:
             self._busy += 1
             busy = self._busy
-        if emit:
-            obs.on_parallel(
-                ParallelEvent(
-                    action="start",
-                    kind=kind,
-                    workers=self.workers,
-                    busy=busy,
-                    queue_depth=self._depth(),
-                    t_ns=perf_counter_ns(),
-                )
-            )
+        if observed:
+            emit(obs, "parallel.workers", "start", task=kind,
+                 workers=self.workers, busy=busy,
+                 queue_depth=self._depth())
         try:
             return fn(*args, **kwargs)
         finally:
             with self._lock:
                 self._busy -= 1
                 busy = self._busy
-            if emit:
-                obs.on_parallel(
-                    ParallelEvent(
-                        action="done",
-                        kind=kind,
-                        workers=self.workers,
-                        busy=busy,
-                        queue_depth=self._depth(),
-                        t_ns=perf_counter_ns(),
-                    )
-                )
+            if observed:
+                emit(obs, "parallel.workers", "done", task=kind,
+                     workers=self.workers, busy=busy,
+                     queue_depth=self._depth())
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the pool.  Idempotent; a later :meth:`submit` restarts it."""

@@ -25,8 +25,7 @@ the serving-layer concerns that govern throughput under contention:
 
 Everything is wired through
 :class:`~repro.core.config.NetworkConfig(deadline_ms=..., admission=...,
-breaker=...)`, observable as
-:class:`~repro.obs.events.ResilienceEvent` samples /
+breaker=...)`, observable as ``resilience.*`` events /
 ``repro_resilience_*`` metric families, and drivable from the CLI
 (``repro chaos --overload``).  Semantics are documented in
 ``docs/resilience.md``.

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from time import perf_counter_ns
 from typing import Dict, Optional
 
-from ..obs.events import ResilienceEvent
+from ..obs.events import emit
 
 __all__ = ["BreakerState", "BreakerPolicy", "CircuitBreaker"]
 
@@ -84,8 +83,8 @@ class CircuitBreaker:
         scope: label naming the guarded resource (a fault plane, an
             engine); carried on every emitted event.
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving transition and ``short_circuit``
-            :class:`~repro.obs.events.ResilienceEvent` samples.
+            receiving transition and ``short_circuit`` events (stage
+            ``resilience.breaker``).
 
     Protocol: call :meth:`allow` before each attempt (False = short
     circuit, serve elsewhere) and :meth:`record` with the attempt's
@@ -129,7 +128,8 @@ class CircuitBreaker:
         if self.denied_since_open >= self.policy.open_frames:
             self._transition(BreakerState.HALF_OPEN)
             self.probe_successes = 0
-        self._emit("short_circuit")
+        emit(self.observer, "resilience.breaker", "short_circuit",
+             scope=self.scope)
         return False
 
     def record(self, ok: bool) -> BreakerState:
@@ -162,17 +162,8 @@ class CircuitBreaker:
 
     def _transition(self, state: BreakerState) -> None:
         self.state = state
-        self._emit(f"breaker_{state.value}")
-
-    def _emit(self, action: str) -> None:
-        obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_resilience(
-            ResilienceEvent(
-                action=action, scope=self.scope, t_ns=perf_counter_ns()
-            )
-        )
+        emit(self.observer, "resilience.breaker", f"breaker_{state.value}",
+             scope=self.scope)
 
     def snapshot(self) -> Dict[str, object]:
         """The breaker's restorable state as plain JSON types."""

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from time import perf_counter_ns
 from typing import Dict, Optional
 
-from ..obs.events import ResilienceEvent
+from ..obs.events import emit
 
 __all__ = ["AdmissionPolicy", "AdmissionGate", "ShedFrame"]
 
@@ -133,8 +132,8 @@ class AdmissionGate:
         policy: the :class:`AdmissionPolicy` to enforce (default: the
             all-permissive policy).
         observer: optional :class:`~repro.obs.events.Observer`
-            receiving one ``admitted`` / ``shed``
-            :class:`~repro.obs.events.ResilienceEvent` per decision.
+            receiving one ``admitted`` / ``shed`` event
+            (``resilience.gate``) per decision.
 
     The gate is tick-driven: the owner calls :meth:`tick` once per
     service opportunity (one fabric submission, one simulator slot) and
@@ -188,42 +187,29 @@ class AdmissionGate:
                 queueless callers like the fabric).
         """
         p = self.policy
-        if queue_depth >= p.hard_watermark:
-            return self._shed(priority, queue_depth, "watermark")
-        if priority <= 0 and queue_depth >= p.soft_watermark:
-            return self._shed(priority, queue_depth, "watermark")
         floor = p.reserve if priority <= 0 else 0.0
-        if self.tokens - 1.0 < floor - 1e-12:
-            return self._shed(priority, queue_depth, "tokens")
-        if math.isfinite(self.tokens):
-            self.tokens -= 1.0
-        self.admitted += 1
-        self.admitted_by_priority[priority] = (
-            self.admitted_by_priority.get(priority, 0) + 1
-        )
-        self.last_reason = ""
-        self._emit("admitted", priority, queue_depth)
-        return True
-
-    def _shed(self, priority: int, queue_depth: int, reason: str) -> bool:
-        self.shed += 1
-        self.shed_by_priority[priority] = (
-            self.shed_by_priority.get(priority, 0) + 1
-        )
+        if queue_depth >= p.hard_watermark or (
+            priority <= 0 and queue_depth >= p.soft_watermark
+        ):
+            reason = "watermark"
+        elif self.tokens - 1.0 < floor - 1e-12:
+            reason = "tokens"
+        else:
+            reason = ""
+        if reason:
+            self.shed += 1
+            counts = self.shed_by_priority
+        else:
+            if math.isfinite(self.tokens):
+                self.tokens -= 1.0
+            self.admitted += 1
+            counts = self.admitted_by_priority
+        counts[priority] = counts.get(priority, 0) + 1
         self.last_reason = reason
-        self._emit("shed", priority, queue_depth)
-        return False
-
-    def _emit(self, action: str, priority: int, queue_depth: int) -> None:
         obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        obs.on_resilience(
-            ResilienceEvent(
-                action=action,
-                priority=priority,
-                tokens=self.tokens if math.isfinite(self.tokens) else -1.0,
-                queue_depth=queue_depth,
-                t_ns=perf_counter_ns(),
-            )
-        )
+        if obs is not None and obs.enabled:
+            emit(obs, "resilience.gate", "shed" if reason else "admitted",
+                 priority=priority,
+                 tokens=self.tokens if math.isfinite(self.tokens) else -1.0,
+                 queue_depth=queue_depth)
+        return not reason

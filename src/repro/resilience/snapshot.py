@@ -31,24 +31,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Dict, List, Optional
 
 from ..core.multicast import MulticastAssignment
-from ..obs.events import ResilienceEvent
+from ..obs.events import emit
 
 __all__ = ["FabricSnapshot"]
 
 _FORMAT_VERSION = 1
-
-
-def _emit(observer, action: str, frames: int) -> None:
-    if observer is not None and observer.enabled:
-        observer.on_resilience(
-            ResilienceEvent(
-                action=action, frames=frames, t_ns=perf_counter_ns()
-            )
-        )
 
 
 @dataclass
@@ -98,7 +88,8 @@ class FabricSnapshot:
             health=health,
             breaker=breaker,
         )
-        _emit(fabric.observer, "snapshot_saved", len(assignments))
+        emit(fabric.observer, "resilience.snapshot", "snapshot_saved",
+             plans=len(assignments))
         return snap
 
     def restore(self, fabric) -> int:
@@ -133,7 +124,8 @@ class FabricSnapshot:
             and getattr(fabric, "breaker", None) is not None
         ):
             fabric.breaker.restore(self.breaker)
-        _emit(fabric.observer, "snapshot_restored", warmed)
+        emit(fabric.observer, "resilience.snapshot", "snapshot_restored",
+             plans=warmed)
         return warmed
 
     def to_json(self) -> str:

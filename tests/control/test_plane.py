@@ -6,7 +6,7 @@ import pytest
 
 from repro.control import ControlPlane, ControlPolicy, SignalAggregator
 from repro.obs import MetricsObserver, Observer
-from repro.obs.events import FaultEvent, FrameDone, ResilienceEvent
+from repro.obs.events import Event
 from repro.parallel import (
     CompileAheadPipeline,
     ConcurrentPlanCache,
@@ -18,18 +18,23 @@ from repro.faults import RetryPolicy
 
 
 class RecordingObserver(Observer):
-    """Collects every ControlEvent it receives."""
+    """Collects every control event it receives."""
 
     def __init__(self):
         self.events = []
 
-    def on_control(self, event):
-        self.events.append(event)
+    def on_event(self, event):
+        if event.stage == "control":
+            self.events.append(event)
+
+
+def gate_event(kind, priority):
+    return Event(kind, "resilience.gate", fields={"priority": priority})
 
 
 def shed_high(aggregator, count=1):
     for _ in range(count):
-        aggregator.on_resilience(ResilienceEvent(action="shed", priority=1))
+        aggregator.on_event(gate_event("shed", 1))
 
 
 class TestSignalAggregator:
@@ -40,11 +45,20 @@ class TestSignalAggregator:
 
     def test_counts_fold_into_current_bucket(self):
         agg = SignalAggregator(4)
-        agg.on_frame_done(FrameDone(frame_id=1, deliveries=3, frames=2))
-        agg.on_resilience(ResilienceEvent(action="admitted", priority=1))
-        agg.on_resilience(ResilienceEvent(action="shed", priority=0))
-        agg.on_fault(FaultEvent(action="retry"))
-        agg.on_fault(FaultEvent(action="lost", terminals=(3, 5)))
+        agg.on_event(
+            Event(
+                "frame_done",
+                "brsmn",
+                1,
+                fields={"deliveries": 3, "frames": 2, "duration_ns": 0},
+            )
+        )
+        agg.on_event(gate_event("admitted", 1))
+        agg.on_event(gate_event("shed", 0))
+        agg.on_event(Event("retry", "faults.healing"))
+        agg.on_event(
+            Event("lost", "faults.healing", fields={"terminals": (3, 5)})
+        )
         agg.close_tick(queue_depth=7)
         w = agg.window()
         assert w.ticks == 1 and w.frames == 2
@@ -55,7 +69,7 @@ class TestSignalAggregator:
     def test_window_slides(self):
         agg = SignalAggregator(2)
         for depth in (1, 2, 3):
-            agg.on_resilience(ResilienceEvent(action="shed", priority=1))
+            agg.on_event(gate_event("shed", 1))
             agg.close_tick(queue_depth=depth)
         w = agg.window()
         assert w.ticks == 2        # oldest bucket evicted
@@ -86,8 +100,8 @@ class TestTickCadence:
         rec = RecordingObserver()
         plane = ControlPlane(ControlPolicy(), observer=rec)
         plane.tick()
-        assert [e.action for e in rec.events] == ["tick"]
-        assert rec.events[0].tick == 1
+        assert [e.kind for e in rec.events] == ["tick"]
+        assert rec.events[0].fields["tick"] == 1
         assert rec.events[0].t_ns > 0
 
 
@@ -224,13 +238,13 @@ class TestDecisionLog:
         plane.bind(gate=gate)
         shed_high(plane.signals)
         plane.tick(queue_depth=0)
-        adjusts = [e for e in rec.events if e.action == "adjust"]
+        adjusts = [e for e in rec.events if e.kind == "adjust"]
         log = plane.decision_log()
         assert len(adjusts) == len(log)
         for event, entry in zip(adjusts, log):
-            assert event.controller == entry["controller"]
-            assert event.parameter == entry["parameter"]
-            assert event.new == entry["new"]
+            assert event.fields["controller"] == entry["controller"]
+            assert event.fields["parameter"] == entry["parameter"]
+            assert event.fields["new"] == entry["new"]
             assert event.t_ns > 0  # events do carry wall-clock
 
 

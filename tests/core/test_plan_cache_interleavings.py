@@ -23,8 +23,11 @@ class _CacheRecorder(Observer):
     def __init__(self):
         self.events = []
 
-    def on_cache_event(self, event):
-        self.events.append((event.kind, event.key, event.size))
+    def on_event(self, event):
+        if event.stage == "fastplan.plan_cache":
+            self.events.append(
+                (event.kind, event.fields["key"], event.fields["size"])
+            )
 
 
 def _trace(cache, rec, assignments):

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.core import NetworkConfig, route_resilient
+from repro.cluster import ClusterConfig, FabricCluster
+from repro.core import (
+    MulticastFabric,
+    NetworkConfig,
+    build_network,
+    route_resilient,
+)
 from repro.faults import (
     DegradedResult,
     FaultKind,
@@ -13,16 +19,24 @@ from repro.faults import (
     route_with_healing,
 )
 from repro.obs import Observer
+from repro.workloads.random_assignments import random_multicast
 
 from conftest import make_random_assignment
 
 
 class _Recorder(Observer):
+    """Records the fault-path events: injections, healing passes and
+    plane transitions."""
+
+    KINDS = {"injected", "detected", "retry", "recovered", "lost",
+             "quarantined", "probation", "readmitted"}
+
     def __init__(self):
         self.events = []
 
-    def on_fault(self, event):
-        self.events.append(event)
+    def on_event(self, event):
+        if event.kind in self.KINDS:
+            self.events.append(event)
 
 
 class TestRetryPolicy:
@@ -162,13 +176,13 @@ class TestHealingEvents:
         rec = _Recorder()
         cfg = NetworkConfig(n, fault_plan=plan, observer=rec)
         result = route_resilient(cfg, {3: [0, 1, 2, 3]})
-        actions = [e.action for e in rec.events]
+        actions = [e.kind for e in rec.events]
         # One detected + retry pair per repair pass.
         assert actions.count("detected") == result.attempts - 1
         assert actions.count("retry") == result.attempts - 1
         assert "lost" in actions
-        lost_event = next(e for e in rec.events if e.action == "lost")
-        assert lost_event.terminals == (0, 1)
+        lost_event = next(e for e in rec.events if e.kind == "lost")
+        assert lost_event.fields["terminals"] == (0, 1)
 
     def test_recovered_event_names_terminals(self):
         plan = FaultPlan.single_switch(
@@ -180,8 +194,8 @@ class TestHealingEvents:
             cfg, {0: [0, 1, 2, 3], 5: [8, 9], 12: [12, 15]}
         )
         assert result.recovered == (0, 1)
-        recovered = [e for e in rec.events if e.action == "recovered"]
-        assert recovered and recovered[-1].terminals == (0, 1)
+        recovered = [e for e in rec.events if e.kind == "recovered"]
+        assert recovered and recovered[-1].fields["terminals"] == (0, 1)
 
 
 class TestDirectLoopEntry:
@@ -197,3 +211,46 @@ class TestDirectLoopEntry:
         result = route_with_healing(net, assignment)
         assert isinstance(result, DegradedResult)
         assert set(result.outcomes) == set(assignment.used_outputs)
+
+
+class TestPlanCacheAccounting:
+    """Frames served through healing count their plan-cache traffic."""
+
+    @staticmethod
+    def _faulted_config(n=32):
+        kinds = [FaultKind.STUCK_AT, FaultKind.DEAD_SWITCH]
+        plan = FaultPlan.random(n, faults=3, seed=1, kinds=kinds)
+        return NetworkConfig(n, engine="fast", fault_plan=plan)
+
+    @staticmethod
+    def _frames(n=32, count=40):
+        pool = [random_multicast(n, load=0.8, seed=s) for s in range(4)]
+        return [pool[i % len(pool)] for i in range(count)]
+
+    def test_degraded_result_sums_every_pass(self):
+        net = build_network(self._faulted_config())
+        result = route_with_healing(net, self._frames(count=1)[0])
+        lookups = result.plan_cache_hits + result.plan_cache_misses
+        assert lookups == result.attempts
+        assert result.plan_cache_misses == net.plan_cache.misses
+
+    def test_fabric_stats_match_both_planes_caches(self):
+        fabric = MulticastFabric(self._faulted_config())
+        fabric.run(self._frames())
+        stats = fabric.stats
+        planes = (fabric.network.plan_cache, fabric.standby.plan_cache)
+        assert stats.plan_cache_hits == sum(c.hits for c in planes)
+        assert stats.plan_cache_misses == sum(c.misses for c in planes)
+        assert fabric.network.plan_cache.hits > 0  # healed frames counted
+
+    def test_cluster_stats_match_every_plane_cache(self):
+        cluster = FabricCluster(
+            ClusterConfig(replicas=2, network=self._faulted_config())
+        )
+        cluster.run(self._frames())
+        fabrics = [r.fabric for r in cluster.replicas]
+        caches = [f.network.plan_cache for f in fabrics] + [
+            f.standby.plan_cache for f in fabrics
+        ]
+        assert cluster.stats.plan_cache_hits == sum(c.hits for c in caches)
+        assert cluster.stats.plan_cache_misses == sum(c.misses for c in caches)

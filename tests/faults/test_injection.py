@@ -195,11 +195,18 @@ class TestEmptyPlanIsIdentity:
 
 
 class _Recorder(Observer):
+    """Records the fault-path events: injections, healing passes and
+    plane transitions."""
+
+    KINDS = {"injected", "detected", "retry", "recovered", "lost",
+             "quarantined", "probation", "readmitted"}
+
     def __init__(self):
         self.events = []
 
-    def on_fault(self, event):
-        self.events.append(event)
+    def on_event(self, event):
+        if event.kind in self.KINDS:
+            self.events.append(event)
 
 
 class TestInjectedEvents:
@@ -214,12 +221,13 @@ class TestInjectedEvents:
             NetworkConfig(n, engine=engine, fault_plan=plan, observer=rec)
         )
         net.route(_asg(n, {0: [0, 1]}), payloads=_payloads(n))
-        injected = [e for e in rec.events if e.action == "injected"]
+        injected = [e for e in rec.events if e.kind == "injected"]
         assert len(injected) == 1
         (event,) = injected
-        assert event.kind == "dead_switch"
-        assert (event.level, event.index) == (3, 0)
-        assert event.terminals == (0, 1)
+        assert event.stage == "brsmn"
+        assert event.fields["fault"] == "dead_switch"
+        assert (event.fields["level"], event.fields["index"]) == (3, 0)
+        assert event.fields["terminals"] == (0, 1)
 
     def test_no_events_when_traffic_misses_the_fault(self):
         n = 8
@@ -231,7 +239,7 @@ class TestInjectedEvents:
             NetworkConfig(n, engine="fast", fault_plan=plan, observer=rec)
         )
         net.route(_asg(n, {0: [0, 1]}), payloads=_payloads(n))
-        assert [e for e in rec.events if e.action == "injected"] == []
+        assert [e for e in rec.events if e.kind == "injected"] == []
 
 
 class TestPlanCacheKeying:

@@ -1,9 +1,9 @@
 """Lifecycle hooks: emission order, both engines, cache and queue events.
 
 The contract under test: per routed frame the stack emits exactly one
-``FrameStart``, then the frame's level spans (and, on the fast engine,
-plan-cache events), then exactly one ``FrameDone`` — in that order —
-and nothing at all when the attached observer is disabled.
+``frame_start``, then the frame's ``level`` spans (and, on the fast
+engine, plan-cache events), then exactly one ``frame_done`` — in that
+order — and nothing at all when the attached observer is disabled.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.obs import (
     Observer,
     TracingObserver,
 )
-from repro.obs.events import CacheEvent, FrameDone, FrameStart, LevelSpan
 
 
 def _traced_net(n, engine):
@@ -35,34 +34,38 @@ class TestEmissionOrder:
     def test_frame_start_levels_done(self, engine):
         net, tr = _traced_net(8, engine)
         net.route(paper_example_assignment())
-        kinds = [type(e) for e in tr.events]
-        assert kinds[0] is FrameStart
-        assert kinds[-1] is FrameDone
-        assert kinds.count(FrameStart) == 1 and kinds.count(FrameDone) == 1
-        assert LevelSpan in kinds[1:-1]
+        kinds = [e.kind for e in tr.events]
+        assert kinds[0] == "frame_start"
+        assert kinds[-1] == "frame_done"
+        assert kinds.count("frame_start") == 1
+        assert kinds.count("frame_done") == 1
+        assert "level" in kinds[1:-1]
         # timestamps agree with the ordering
         start, done = tr.events[0], tr.events[-1]
         assert start.t_ns <= done.t_ns
-        assert done.duration_ns == done.t_ns - start.t_ns
+        assert done.fields["duration_ns"] == done.t_ns - start.t_ns
 
     def test_frame_ids_increase(self):
         net, tr = _traced_net(8, "fast")
         a = paper_example_assignment()
         net.route(a)
         net.route(a)
-        ids = [e.frame_id for e in tr.events if isinstance(e, FrameStart)]
+        ids = [e.frame_id for e in tr.events if e.kind == "frame_start"]
         assert ids == sorted(ids) and len(set(ids)) == 2
 
     def test_frame_start_payload(self):
         net, tr = _traced_net(8, "reference")
         net.route(paper_example_assignment(), mode="oracle")
         start = tr.events[0]
-        assert start.n == 8
-        assert start.engine == "reference"
-        assert start.mode == "oracle"
-        assert start.frames == 1
-        assert start.active_inputs == 4
-        assert start.fanout == 8
+        assert start.stage == "brsmn"
+        assert start.fields == {
+            "n": 8,
+            "engine": "reference",
+            "mode": "oracle",
+            "frames": 1,
+            "active_inputs": 4,
+            "fanout": 8,
+        }
 
 
 class TestLevelSpans:
@@ -70,36 +73,42 @@ class TestLevelSpans:
         net, tr = _traced_net(16, "reference")
         net.route(MulticastAssignment.from_dict(16, {0: list(range(16))}))
         tl = tr.timelines()[0]
-        assert [s.level for s in tl.levels] == [1, 2, 3, 4]
-        assert [s.size for s in tl.levels] == [16, 8, 4, 2]
-        assert [s.blocks for s in tl.levels] == [1, 2, 4, 8]
-        assert all(s.engine == "reference" for s in tl.levels)
+        spans = [s.fields for s in tl.levels]
+        assert [s["level"] for s in spans] == [1, 2, 3, 4]
+        assert [s["size"] for s in spans] == [16, 8, 4, 2]
+        assert [s["blocks"] for s in spans] == [1, 2, 4, 8]
+        assert all(s["engine"] == "reference" for s in spans)
+        assert all(e.stage == "brsmn" for e in tl.levels)
         # level m is the delivery layer, everything above is BSN work
-        assert set(tl.levels[-1].stage_ns) == {"deliver"}
-        for span in tl.levels[:-1]:
-            assert set(span.stage_ns) == {"bsn"}
-            assert span.duration_ns > 0
+        assert set(spans[-1]["stage_ns"]) == {"deliver"}
+        for span in spans[:-1]:
+            assert set(span["stage_ns"]) == {"bsn"}
+            assert span["duration_ns"] > 0
 
     def test_fast_levels_carry_compile_stages(self):
         net, tr = _traced_net(16, "fast")
         net.route(MulticastAssignment.from_dict(16, {0: list(range(16))}))
         tl = tr.timelines()[0]
-        assert [s.level for s in tl.levels] == [1, 2, 3]
-        assert [s.size for s in tl.levels] == [16, 8, 4]
-        assert all(s.engine == "fast" for s in tl.levels)
-        for span in tl.levels:
-            assert set(span.stage_ns) == {"tag", "scatter", "quasisort", "gather"}
-            assert span.duration_ns >= max(span.stage_ns.values())
+        spans = [s.fields for s in tl.levels]
+        assert [s["level"] for s in spans] == [1, 2, 3]
+        assert [s["size"] for s in spans] == [16, 8, 4]
+        assert all(s["engine"] == "fast" for s in spans)
+        assert all(e.stage == "fastplan" for e in tl.levels)
+        for span in spans:
+            assert set(span["stage_ns"]) == {
+                "tag", "scatter", "quasisort", "gather"
+            }
+            assert span["duration_ns"] >= max(span["stage_ns"].values())
         # the broadcast splits once per level on its way to 16 outputs
-        assert sum(s.splits for s in tl.levels) > 0
+        assert sum(s["splits"] for s in spans) > 0
         assert tl.stage_ns().keys() == {"tag", "scatter", "quasisort", "gather"}
 
     def test_split_totals_match_result(self):
         net, tr = _traced_net(8, "reference")
         res = net.route(paper_example_assignment())
         tl = tr.timelines()[0]
-        assert sum(s.splits for s in tl.levels) == res.total_splits
-        assert sum(s.switch_ops for s in tl.levels) == res.switch_ops
+        assert sum(s.fields["splits"] for s in tl.levels) == res.total_splits
+        assert sum(s.fields["switch_ops"] for s in tl.levels) == res.switch_ops
 
 
 class TestCacheEvents:
@@ -111,27 +120,27 @@ class TestCacheEvents:
         first, second = tr.timelines()
         assert [e.kind for e in first.cache_events] == ["miss"]
         assert [e.kind for e in second.cache_events] == ["hit"]
-        assert first.done.cache_hit is False
-        assert second.done.cache_hit is True
+        assert first.done.fields["cache_hit"] is False
+        assert second.done.fields["cache_hit"] is True
         # cache events land between the frame markers
-        kinds = [
-            (type(e), getattr(e, "kind", None)) for e in tr.events
-        ]
-        assert kinds.index((CacheEvent, "miss")) > kinds.index((FrameStart, None))
+        kinds = [(e.stage, e.kind) for e in tr.events]
+        assert kinds.index(("fastplan.plan_cache", "miss")) > kinds.index(
+            ("brsmn", "frame_start")
+        )
 
     def test_eviction_emitted(self):
         tr = TracingObserver()
         net = BRSMN(NetworkConfig(8, engine="fast", plan_cache_size=1, observer=tr))
         net.route(MulticastAssignment.from_dict(8, {0: [1]}))
         net.route(MulticastAssignment.from_dict(8, {2: [3]}))
-        kinds = [e.kind for e in tr.events if isinstance(e, CacheEvent)]
+        kinds = [e.kind for e in tr.events if e.stage == "fastplan.plan_cache"]
         assert kinds == ["miss", "miss", "evict"] or kinds == ["miss", "evict", "miss"]
 
     def test_reference_engine_emits_no_cache_events(self):
         net, tr = _traced_net(8, "reference")
         net.route(paper_example_assignment())
-        assert not [e for e in tr.events if isinstance(e, CacheEvent)]
-        assert tr.timelines()[0].done.cache_hit is None
+        assert not [e for e in tr.events if e.stage == "fastplan.plan_cache"]
+        assert tr.timelines()[0].done.fields["cache_hit"] is None
 
 
 class TestBatchRouting:
@@ -139,11 +148,12 @@ class TestBatchRouting:
         net, tr = _traced_net(8, "fast")
         mat = np.arange(5 * 8).reshape(5, 8).astype(object)
         net.route_batch(paper_example_assignment(), mat)
-        starts = [e for e in tr.events if isinstance(e, FrameStart)]
-        dones = [e for e in tr.events if isinstance(e, FrameDone)]
+        starts = [e for e in tr.events if e.kind == "frame_start"]
+        dones = [e for e in tr.events if e.kind == "frame_done"]
         assert len(starts) == len(dones) == 1
-        assert starts[0].frames == 5 and dones[0].frames == 5
-        assert dones[0].deliveries == 8  # per-frame deliveries
+        assert starts[0].fields["frames"] == 5
+        assert dones[0].fields["frames"] == 5
+        assert dones[0].fields["deliveries"] == 8  # per-frame deliveries
 
     def test_metrics_scale_by_batch_size(self):
         mo = MetricsObserver()
@@ -210,9 +220,10 @@ class TestQueueDepth:
         arrivals = poisson_arrivals(8, rate=1.0, slots=6, seed=3)
         report = sim.run(arrivals)
         assert len(tr.queue_samples) == report.slots_run
-        assert [q.slot for q in tr.queue_samples] == list(range(report.slots_run))
-        assert [q.depth for q in tr.queue_samples] == report.backlog_per_slot
-        assert sum(q.served for q in tr.queue_samples) == report.served
+        samples = [q.fields for q in tr.queue_samples]
+        assert [q["slot"] for q in samples] == list(range(report.slots_run))
+        assert [q["depth"] for q in samples] == report.backlog_per_slot
+        assert sum(q["served"] for q in samples) == report.served
 
     def test_metrics_observer_gauges(self):
         mo = MetricsObserver()

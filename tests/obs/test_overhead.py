@@ -50,16 +50,7 @@ class TestNullSinkOverhead:
             def __init__(self):
                 self.called = False
 
-            def on_frame_start(self, event):
-                self.called = True
-
-            def on_level(self, event):
-                self.called = True
-
-            def on_frame_done(self, event):
-                self.called = True
-
-            def on_cache_event(self, event):
+            def on_event(self, event):
                 self.called = True
 
         rec = Recording()

@@ -19,9 +19,10 @@ class ParallelRecorder(Observer):
         self.parallel = []
         self._lock = threading.Lock()
 
-    def on_parallel(self, event):
-        with self._lock:
-            self.parallel.append(event)
+    def on_event(self, event):
+        if event.stage in ("parallel.workers", "parallel.pipeline"):
+            with self._lock:
+                self.parallel.append(event)
 
 
 def assignment(seed, n=16):
@@ -68,12 +69,14 @@ def test_full_queue_drops_instead_of_blocking():
         pipe.drain()
         assert pipe.queue_depth == 0
         assert not cache.contains(assignment(4))
-        actions = [e.action for e in obs.parallel if e.kind == "compile"]
+        actions = [
+            e.kind for e in obs.parallel if e.fields["task"] == "compile"
+        ]
         assert actions.count("enqueue") == 2
         assert actions.count("drop") == 1
         # The pipeline registered itself as the pool's depth source.
-        starts = [e for e in obs.parallel if e.action == "start"]
-        assert starts and all(e.workers == 1 for e in starts)
+        starts = [e for e in obs.parallel if e.kind == "start"]
+        assert starts and all(e.fields["workers"] == 1 for e in starts)
 
 
 def test_routing_thread_coalesces_onto_prefetch():

@@ -22,9 +22,10 @@ class Recorder(Observer):
         self.events = []
         self._lock = threading.Lock()
 
-    def on_cache_event(self, event):
-        with self._lock:
-            self.events.append(event)
+    def on_event(self, event):
+        if event.stage == "fastplan.plan_cache":
+            with self._lock:
+                self.events.append(event)
 
     def kinds(self):
         return [e.kind for e in self.events]
@@ -161,7 +162,7 @@ class TestCacheSemantics:
         assert cache.hit_rate == pytest.approx(1 / 3)
         assert obs.kinds() == ["miss", "hit", "miss"]
         # Miss events snapshot the pre-insert size, hits the current.
-        assert [e.size for e in obs.events] == [0, 1, 1]
+        assert [e.fields["size"] for e in obs.events] == [0, 1, 1]
 
     def test_lru_eviction_within_stripe(self):
         obs = Recorder()
@@ -175,7 +176,7 @@ class TestCacheSemantics:
         assert cache.contains(a) and cache.contains(c)
         assert not cache.contains(b)
         assert obs.kinds() == ["miss", "miss", "hit", "miss", "evict"]
-        assert obs.events[-1].key == PlanCache.make_key(b)
+        assert obs.events[-1].fields["key"] == PlanCache.make_key(b)
 
     def test_total_capacity_is_bounded(self):
         cache = ConcurrentPlanCache(maxsize=8, stripes=4)

@@ -36,17 +36,19 @@ fork_only = pytest.mark.skipif(
 
 
 class RecordingObserver(Observer):
-    """Collects resilience actions and process (action, kind) pairs."""
+    """Collects shard-recovery kinds and the other process events."""
 
     def __init__(self):
         self.resilience = []
         self.process = []
 
-    def on_resilience(self, event):
-        self.resilience.append(event.action)
-
-    def on_process(self, event):
-        self.process.append((event.action, event.kind))
+    def on_event(self, event):
+        if event.stage != "parallel.process":
+            return
+        if event.kind in ("shard_requeued", "shard_inline"):
+            self.resilience.append(event.kind)
+        else:
+            self.process.append(event)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,7 @@ def test_warm_plan_ships_slim_envelopes(pool):
     expect = plan.apply_batch(mat)
     for _ in range(pool.workers + 3):
         assert np.array_equal(router.apply(plan, mat), expect)
-    kinds = [kind for action, kind in rec.process if action == "envelope"]
+    kinds = [e.fields["shipment"] for e in rec.process if e.kind == "envelope"]
     assert kinds.count("full") >= pool.workers
     assert "slim" in kinds
 
@@ -189,7 +191,7 @@ def test_slim_miss_is_reshipped_not_requeued(pool):
     router._envelope_sends[env.key] = pool.workers
     mat = _numeric_matrix(16, 8, seed=7)
     assert np.array_equal(router.apply(plan, mat), plan.apply_batch(mat))
-    kinds = [kind for action, kind in rec.process if action == "envelope"]
+    kinds = [e.fields["shipment"] for e in rec.process if e.kind == "envelope"]
     assert "miss" in kinds
     assert "full" in kinds  # the re-shipment after the miss
     assert router.requeues == 0
@@ -240,7 +242,7 @@ def test_worker_process_death_requeues_and_respawns(tmp_path):
     assert router.inline_fallbacks == 0
     assert pool.respawns == 1
     assert rec.resilience.count("shard_requeued") == 1
-    assert ("respawn", "") in rec.process
+    assert "respawn" in [e.kind for e in rec.process]
 
 
 @fork_only

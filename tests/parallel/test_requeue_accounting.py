@@ -33,8 +33,9 @@ class RecordingObserver(Observer):
     def __init__(self):
         self.actions = []
 
-    def on_resilience(self, event):
-        self.actions.append(event.action)
+    def on_event(self, event):
+        if event.stage == "parallel.shard":
+            self.actions.append(event.kind)
 
 
 class CrashOnWorkerPlan:

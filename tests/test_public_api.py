@@ -24,6 +24,7 @@ STABLE_API = [
     "ControlPolicy",
     "DeadlineBudget",
     "DegradedResult",
+    "Event",
     "FabricCluster",
     "FabricReplica",
     "FabricSnapshot",
@@ -41,7 +42,6 @@ STABLE_API = [
     "Observer",
     "QueueingSimulator",
     "ReplicaState",
-    "ResilienceEvent",
     "RetryPolicy",
     "RollingRestart",
     "RoutingResult",
