@@ -43,6 +43,7 @@ Engines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -174,19 +175,95 @@ def deliver_final_switch(
     return outputs, setting
 
 
+class _LazyOutputs:
+    """``RoutingResult.outputs``: stored as given, or built on first read.
+
+    A list passed in (or assigned later) is kept as is.  A result
+    constructed with ``outputs=None`` and a ``delivery_src`` builds its
+    ``Message`` list from ``delivery_src`` and ``payloads`` the first
+    time ``outputs`` is read, then keeps that list.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            # No class-level default, so the dataclass field stays required.
+            raise AttributeError("outputs")
+        outputs = result.__dict__["_outputs"]
+        if outputs is None and result.delivery_src is not None:
+            payloads = result.payloads
+            outputs = [
+                None
+                if src < 0
+                else Message(
+                    source=src, destinations=frozenset((o,)), payload=payloads[o]
+                )
+                for o, src in enumerate(result.delivery_src.tolist())
+            ]
+            result.__dict__["_outputs"] = outputs
+        return outputs
+
+    def __set__(self, result, outputs) -> None:
+        result.__dict__["_outputs"] = outputs
+
+
+class _PerFrameTotals:
+    """Per-frame counters shared by both result kinds."""
+
+    @property
+    def total_splits(self) -> int:
+        """Alpha splits across all BSN frames (read off the compiled
+        plan on the fast engine)."""
+        if self.plan is not None:
+            return self.plan.total_splits
+        return sum(st.splits for st in self.bsn_stats)
+
+    @property
+    def switch_ops(self) -> int:
+        """2x2 switch applications, including the final delivery level."""
+        if self.plan is not None:
+            return self.plan.switch_ops
+        return sum(st.switch_ops for st in self.bsn_stats) + self.final_switches
+
+    @property
+    def plan_cache_hits(self) -> int:
+        """Routing calls served from the plan cache (0 on the reference
+        engine).
+
+        Both engines report the counter pair — the reference engine as
+        zeros rather than omitting it — so session aggregators never
+        need to special-case the engine.
+        """
+        return 1 if self.plan_cache_hit else 0
+
+    @property
+    def plan_cache_misses(self) -> int:
+        """Routing calls that compiled a plan (0 on the reference engine)."""
+        return 1 if self.plan_cache_hit is False else 0
+
+
 @dataclass
-class RoutingResult:
+class RoutingResult(_PerFrameTotals):
     """Outcome of routing one multicast assignment.
+
+    A fast-engine result is array-backed: ``delivery_src`` and
+    ``payloads`` are what the compiled plan produced, and ``outputs``
+    is built from them the first time it is read (then kept).  A
+    caller that only needs who delivered where reads ``delivery_src``
+    and never pays for ``n`` :class:`~repro.core.message.Message`
+    objects; many payload frames of one assignment go through
+    :meth:`BRSMN.route_batch`.
 
     Attributes:
         assignment: the assignment that was routed.
         outputs: ``outputs[o]`` is the message delivered to output
-            ``o`` (``None`` if the output is unused).
+            ``o`` (``None`` if the output is unused).  Built on first
+            access on the fast engine.
         mode: the routing mode used.
         bsn_stats: one :class:`~repro.core.bsn.BsnFrameStats` per BSN
             frame traversed, outermost first (depth-first order on the
             reference engine, level order on the fast engine — the
-            multiset is identical).
+            multiset is identical).  On the fast engine this is the
+            compiled plan's tuple, shared by every frame it routes.
         final_switches: number of last-level 2x2 switches that fired.
         trace: optional full stage trace (present when requested).
         engine: which engine produced the result.
@@ -201,52 +278,48 @@ class RoutingResult:
             :class:`~repro.faults.injector.FaultHit` per fault that
             touched this pass's traffic (the engines produce the same
             multiset; traversal order differs).
+        delivery_src: length-``n`` int array; ``delivery_src[o]`` is the
+            input delivering to output ``o`` (-1 = nothing delivered,
+            fault casualties included).  On a fault-free pass it equals
+            ``assignment.source_vector()``.  Read-only on the fast
+            engine, where it may be the compiled plan's own array;
+            ``None`` on results of the feedback network and the
+            baselines.
+        payloads: fast engine only — ``payloads[o]`` is the payload
+            delivered to output ``o`` (``None`` where nothing was).
+        plan: fast engine only — the
+            :class:`~repro.core.fastplan.FramePlan` that routed the
+            frame.
     """
 
     assignment: MulticastAssignment
-    outputs: List[Optional[Message]]
+    outputs: List[Optional[Message]] = _LazyOutputs()
     mode: str
-    bsn_stats: List[BsnFrameStats] = field(default_factory=list)
+    bsn_stats: Sequence[BsnFrameStats] = field(default_factory=list)
     final_switches: int = 0
     trace: Optional[Trace] = None
     engine: str = "reference"
     plan_cache_hit: Optional[bool] = None
     verification: Optional[object] = None
     fault_casualties: List = field(default_factory=list)
+    delivery_src: Optional[np.ndarray] = field(default=None, compare=False)
+    payloads: Optional[Sequence] = field(default=None, repr=False, compare=False)
+    plan: Optional[object] = field(default=None, repr=False, compare=False)
+
+    @property
+    def outputs_materialised(self) -> bool:
+        """True once ``outputs`` exists as a list: always for results
+        built from messages, after the first read on the fast engine."""
+        return self.__dict__["_outputs"] is not None
 
     @property
     def delivered(self) -> Dict[int, Message]:
         """Map of used output -> delivered message."""
         return {o: m for o, m in enumerate(self.outputs) if m is not None}
 
-    @property
-    def plan_cache_hits(self) -> int:
-        """Frames served from the plan cache (0 on the reference engine).
-
-        Both engines report the counter pair — the reference engine as
-        zeros rather than omitting it — so session aggregators never
-        need to special-case the engine.
-        """
-        return 1 if self.plan_cache_hit else 0
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Frames that compiled a plan (0 on the reference engine)."""
-        return 1 if self.plan_cache_hit is False else 0
-
-    @property
-    def total_splits(self) -> int:
-        """Total alpha splits performed across all BSN frames."""
-        return sum(st.splits for st in self.bsn_stats)
-
-    @property
-    def switch_ops(self) -> int:
-        """2x2 switch applications, including the final delivery level."""
-        return sum(st.switch_ops for st in self.bsn_stats) + self.final_switches
-
 
 @dataclass
-class BatchRoutingResult:
+class BatchRoutingResult(_PerFrameTotals):
     """Outcome of routing one assignment under many payload frames.
 
     All frames share the assignment, so the routing plan — and with it
@@ -263,16 +336,23 @@ class BatchRoutingResult:
             array with ``None`` on idle outputs.
         delivery_src: length-``n`` int array; ``delivery_src[o]`` is the
             input delivering to output ``o`` (-1 = idle), identical for
-            every frame.
+            every frame.  Read-only on the fast engine.
         mode: the routing mode recorded.
         engine: which engine produced the result.
         bsn_stats: per-BSN statistics of ONE frame (every frame incurs
-            the same work).
+            the same work); the compiled plan's tuple on the fast
+            engine.
         final_switches: last-level 2x2 switches fired per frame.
         plan_cache_hit: fast engine only — whether the shared plan came
             from the cache.
         fault_casualties: fault hits of the shared routing pass (every
             frame of the batch incurs the same ones).
+        plan: fast engine only — the shared
+            :class:`~repro.core.fastplan.FramePlan`.
+
+    ``total_splits`` and ``switch_ops`` are per frame (identical across
+    the batch); ``plan_cache_hits`` / ``plan_cache_misses`` count the
+    batch as one lookup.
     """
 
     assignment: MulticastAssignment
@@ -281,30 +361,11 @@ class BatchRoutingResult:
     delivery_src: "np.ndarray"
     mode: str
     engine: str = "reference"
-    bsn_stats: List[BsnFrameStats] = field(default_factory=list)
+    bsn_stats: Sequence[BsnFrameStats] = field(default_factory=list)
     final_switches: int = 0
     plan_cache_hit: Optional[bool] = None
     fault_casualties: List = field(default_factory=list)
-
-    @property
-    def total_splits(self) -> int:
-        """Alpha splits per frame (identical across the batch)."""
-        return sum(st.splits for st in self.bsn_stats)
-
-    @property
-    def switch_ops(self) -> int:
-        """2x2 switch applications per frame."""
-        return sum(st.switch_ops for st in self.bsn_stats) + self.final_switches
-
-    @property
-    def plan_cache_hits(self) -> int:
-        """Batches served from the plan cache (0 on the reference engine)."""
-        return 1 if self.plan_cache_hit else 0
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Batches that compiled a plan (0 on the reference engine)."""
-        return 1 if self.plan_cache_hit is False else 0
+    plan: Optional[object] = field(default=None, repr=False, compare=False)
 
     def frame_outputs(self, f: int) -> List:
         """Per-output delivered payloads of frame ``f`` as a list."""
@@ -537,6 +598,10 @@ class BRSMN:
             )
             if self._injector is not None:
                 result.outputs = self._injector.scrub(result.outputs)
+            result.delivery_src = np.array(
+                [-1 if m is None else m.source for m in result.outputs],
+                dtype=np.int64,
+            )
             if emit:
                 self._emit_level_spans(obs, fid, prof)
         if emit:
@@ -608,10 +673,7 @@ class BRSMN:
     def _emit_frame_done(self, obs, fid, t0, result, mode, frames):
         """Emit ``frame_done`` for a finished (batch) routing call."""
         t1 = perf_counter_ns()
-        if isinstance(result, BatchRoutingResult):
-            deliveries = int((result.delivery_src >= 0).sum())
-        else:
-            deliveries = sum(1 for o in result.outputs if o is not None)
+        deliveries = int(np.count_nonzero(result.delivery_src >= 0))
         obs.on_event(
             Event(
                 "frame_done",
@@ -663,26 +725,39 @@ class BRSMN:
     ) -> RoutingResult:
         plan, hit = self._plan(assignment, observer, frame_id)
         if payloads is None:
-            payloads = [f"pkt{i}" for i in range(self.n)]
+            payloads = self._default_payloads
         attempt = self._injector.attempt if self._injector is not None else 0
-        delivered = plan.apply(payloads, attempt)
-        casualties = plan.casualties(attempt) if plan.has_faults else frozenset()
-        outputs: List[Optional[Message]] = [
-            None
-            if src < 0 or o in casualties
-            else Message(source=src, destinations=frozenset({o}), payload=delivered[o])
-            for o, src in enumerate(plan.delivery_src.tolist())
-        ]
         return RoutingResult(
             assignment=assignment,
-            outputs=outputs,
+            outputs=None,  # built from delivery_src on first read
             mode=mode,
-            bsn_stats=list(plan.bsn_stats),
+            bsn_stats=plan.bsn_stats,
             final_switches=plan.final_switches,
             engine="fast",
             plan_cache_hit=hit,
             fault_casualties=self._plan_hits(plan, attempt),
+            delivery_src=self._delivery_src(plan, attempt),
+            payloads=plan.apply(payloads, attempt),
+            plan=plan,
         )
+
+    @cached_property
+    def _default_payloads(self) -> Tuple[str, ...]:
+        """``"pkt<i>"`` per input, built once per network."""
+        return tuple(f"pkt{i}" for i in range(self.n))
+
+    @staticmethod
+    def _delivery_src(plan, attempt: int) -> np.ndarray:
+        """The plan's read-only delivery vector with this attempt's
+        fault casualties set to -1 (the plan's own array when none)."""
+        src = plan.delivery_src
+        if plan.has_faults:
+            casualties = plan.casualties(attempt)
+            if casualties:
+                src = src.copy()
+                src[sorted(casualties)] = -1
+                src.flags.writeable = False
+        return src
 
     def _plan_hits(self, plan, attempt: int) -> List:
         """Normalise a compiled plan's fault hits to ``FaultHit`` objects."""
@@ -790,11 +865,7 @@ class BRSMN:
                 fid if emit else -1,
             )
             attempt = self._injector.attempt if self._injector is not None else 0
-            delivery_src = plan.delivery_src.copy()
-            if plan.has_faults:
-                casualties = plan.casualties(attempt)
-                if casualties:
-                    delivery_src[sorted(casualties)] = -1
+            delivery_src = self._delivery_src(plan, attempt)
             if self._sharded is not None:
                 delivered = self._sharded.apply(plan, mat, attempt, budget=budget)
             else:
@@ -806,10 +877,11 @@ class BRSMN:
                 delivery_src=delivery_src,
                 mode=mode,
                 engine="fast",
-                bsn_stats=list(plan.bsn_stats),
+                bsn_stats=plan.bsn_stats,
                 final_switches=plan.final_switches,
                 plan_cache_hit=hit,
                 fault_casualties=self._plan_hits(plan, attempt),
+                plan=plan,
             )
             if emit:
                 if result.fault_casualties:

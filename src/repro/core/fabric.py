@@ -333,8 +333,7 @@ class MulticastFabric:
         self.stats.switch_ops += result.switch_ops
         self.stats.plan_cache_hits += result.plan_cache_hits
         self.stats.plan_cache_misses += result.plan_cache_misses
-        for i in assignment.active_inputs:
-            self.stats.fanout_histogram[len(assignment[i])] += 1
+        self.stats.fanout_histogram.update(assignment.fanout_counts())
         return result
 
     def _submit_healed(self, assignment, budget=None):
@@ -367,8 +366,7 @@ class MulticastFabric:
             )
         if result.deadline_expired:
             self.stats.deadline_expired_frames += 1
-        for i in assignment.active_inputs:
-            self.stats.fanout_histogram[len(assignment[i])] += 1
+        self.stats.fanout_histogram.update(assignment.fanout_counts())
         self._record_health(result.degraded)
         if self.breaker is not None:
             was_open = self.breaker.is_open

@@ -160,6 +160,13 @@ class FramePlan:
             triples — outputs riding each flaky cell's two links.
         fault_hits: ``(fault, outputs)`` pairs of the structural faults
             (stuck / dead) that touched this assignment's traffic.
+        total_splits: alpha splits across all BSN levels (summed once,
+            at construction).
+        switch_ops: 2x2 switch applications per frame, final delivery
+            level included (summed once, at construction).
+
+    ``delivery_src`` is made read-only at construction: routing results
+    share it instead of copying it per frame.
     """
 
     n: int
@@ -169,11 +176,19 @@ class FramePlan:
     lost_outputs: Tuple[int, ...] = ()
     flaky_exposure: Tuple[Tuple[object, Tuple[int, ...], Tuple[int, ...]], ...] = ()
     fault_hits: Tuple[Tuple[object, Tuple[int, ...]], ...] = ()
+    total_splits: int = field(init=False, repr=False, compare=False)
+    switch_ops: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_splits(self) -> int:
-        """Total alpha splits across all BSN levels."""
-        return sum(st.splits for st in self.bsn_stats)
+    def __post_init__(self) -> None:
+        self.delivery_src.flags.writeable = False
+        object.__setattr__(
+            self, "total_splits", sum(st.splits for st in self.bsn_stats)
+        )
+        object.__setattr__(
+            self,
+            "switch_ops",
+            sum(st.switch_ops for st in self.bsn_stats) + self.final_switches,
+        )
 
     @property
     def has_faults(self) -> bool:
@@ -330,13 +345,16 @@ def compile_frame_plan(
         else None
     )
 
-    # owner[o]: current position of the copy that will deliver output o.
-    owner = np.full(n, -1, dtype=np.int64)
-    for i, dests in enumerate(assignment.destinations):
-        for d in dests:
-            owner[d] = i
+    # owner[o]: current position of the copy that will deliver output o;
+    # every copy starts at its source input, so owner starts as the
+    # assignment's source vector.
+    source = assignment.source_vector()
+    used = source >= 0
+    owner = source.copy()
     # origin[p]: original input of the message copy at position p.
-    origin = np.where(owner_positions_active(assignment, n), np.arange(n), -1)
+    injects = np.zeros(n, dtype=bool)
+    injects[source[used]] = True
+    origin = np.where(injects, np.arange(n), -1)
 
     stats: List[BsnFrameStats] = []
     outputs_idx = np.arange(n, dtype=np.int64)
@@ -406,7 +424,7 @@ def compile_frame_plan(
         upper_out = ((outputs_idx // half) % 2) == 0
         new_owner = np.where(upper_out, inv_zero[safe_owner], inv_one[safe_owner])
         owner = np.where(owner >= 0, new_owner, -1)
-        if np.any((owner < 0) & (np.asarray(assignment_used_mask(assignment, n)))):
+        if np.any((owner < 0) & used):
             raise RoutingInvariantError(
                 "fast plan lost track of a delivery while compiling"
             )
@@ -548,22 +566,6 @@ def _fold_delivery_faults(fault_plan, m, delivery_src, state) -> np.ndarray:
             if port0 or port1:
                 state["exposure"].append((fault, port0, port1))
     return delivery_src
-
-
-def owner_positions_active(assignment: MulticastAssignment, n: int) -> np.ndarray:
-    """Boolean mask of inputs that inject a message (helper)."""
-    mask = np.zeros(n, dtype=bool)
-    for i in assignment.active_inputs:
-        mask[i] = True
-    return mask
-
-
-def assignment_used_mask(assignment: MulticastAssignment, n: int) -> np.ndarray:
-    """Boolean mask of outputs claimed by the assignment (helper)."""
-    mask = np.zeros(n, dtype=bool)
-    for o in assignment.used_outputs:
-        mask[o] = True
-    return mask
 
 
 @dataclass

@@ -16,8 +16,12 @@ exposed here as :func:`paper_example_assignment`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..errors import InvalidAssignmentError
 from ..rbn.permutations import check_network_size
@@ -35,6 +39,12 @@ class MulticastAssignment:
         n: network size (power of two).
         destinations: tuple of ``n`` frozensets; ``destinations[i]`` is
             ``I_i``.
+
+    Values derived from the destination sets (:meth:`source_vector`,
+    :meth:`fanout_counts`, the
+    :func:`~repro.core.serialization.assignment_fingerprint` digest) are
+    memoised on the instance outside the dataclass fields: equality,
+    hashing and pickling see only ``n`` and ``destinations``.
     """
 
     n: int
@@ -63,6 +73,10 @@ class MulticastAssignment:
             sets.append(ds)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "destinations", tuple(sets))
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; memoised values are rebuilt on demand.
+        return {"n": self.n, "destinations": self.destinations}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -127,7 +141,7 @@ class MulticastAssignment:
     @property
     def total_fanout(self) -> int:
         """Sum of destination-set sizes (= number of deliveries)."""
-        return sum(len(ds) for ds in self.destinations)
+        return sum(f * c for f, c in self.fanout_counts().items())
 
     @property
     def max_fanout(self) -> int:
@@ -151,6 +165,35 @@ class MulticastAssignment:
             for d in ds:
                 inv[d] = i
         return inv
+
+    def source_vector(self) -> np.ndarray:
+        """The inverse map as a read-only int64 array (memoised).
+
+        ``source_vector()[o]`` is the input whose destination set holds
+        output ``o``, or -1 for an unused output.  The sets are
+        disjoint, so this vector is a canonical form of the assignment;
+        by the nonblocking theorem it is also exactly the
+        ``delivery_src`` of a fault-free routing pass.
+        """
+        vec = self.__dict__.get("_source_vector")
+        if vec is None:
+            vec = np.full(self.n, -1, dtype=np.int64)
+            for i, ds in enumerate(self.destinations):
+                if ds:
+                    vec[list(ds)] = i
+            vec.flags.writeable = False
+            self.__dict__["_source_vector"] = vec
+        return vec
+
+    def fanout_counts(self) -> Mapping[int, int]:
+        """Read-only ``{fanout: active inputs with that fanout}`` (memoised)."""
+        counts = self.__dict__.get("_fanout_counts")
+        if counts is None:
+            counts = MappingProxyType(
+                Counter(len(ds) for ds in self.destinations if ds)
+            )
+            self.__dict__["_fanout_counts"] = counts
+        return counts
 
     def restrict(self, lo: int, hi: int) -> "MulticastAssignment":
         """Project onto the output window ``[lo, hi)`` re-based to 0.

@@ -63,24 +63,30 @@ def assignment_fingerprint(assignment: MulticastAssignment) -> str:
     Two assignments fingerprint equal iff they have the same ``n`` and
     the same destination sets, regardless of how they were constructed.
     The digest keys the routing-plan cache
-    (:class:`repro.core.fastplan.PlanCache`).
+    (:class:`repro.core.fastplan.PlanCache`) and the cluster's
+    rendezvous placement.  It is memoised on the (immutable)
+    assignment, so every call after the first is a dict read.
 
     Returns:
         A sha256 hex digest of the compact canonical JSON form.
     """
-    canonical = json.dumps(
-        {
-            "n": assignment.n,
-            "destinations": {
-                str(i): sorted(ds)
-                for i, ds in enumerate(assignment.destinations)
-                if ds
+    digest = assignment.__dict__.get("_fingerprint")
+    if digest is None:
+        canonical = json.dumps(
+            {
+                "n": assignment.n,
+                "destinations": {
+                    str(i): sorted(ds)
+                    for i, ds in enumerate(assignment.destinations)
+                    if ds
+                },
             },
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assignment.__dict__["_fingerprint"] = digest
+    return digest
 
 
 def assignment_from_json(text: str) -> MulticastAssignment:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import networkx as nx
-
 from .permutations import check_network_size
 from .topology import RBNTopology
 
@@ -42,6 +40,8 @@ def rbn_link_graph(n: int) -> "nx.DiGraph":
         four edges (each input port can reach each output port under
         some setting).
     """
+    import networkx as nx  # deferred: only graph checks need it
+
     check_network_size(n)
     topo = RBNTopology(n)
     g: "nx.DiGraph" = nx.DiGraph()
@@ -63,6 +63,8 @@ def rbn_link_graph(n: int) -> "nx.DiGraph":
 
 def count_paths(graph: "nx.DiGraph", n: int, source: int, target: int) -> int:
     """Number of distinct input-to-output paths through the link graph."""
+    import networkx as nx  # deferred, as in rbn_link_graph
+
     return sum(
         1
         for _ in nx.all_simple_paths(

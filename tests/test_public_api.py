@@ -1,6 +1,10 @@
 """Public API surface: everything advertised imports and works."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,20 @@ class TestTopLevel:
         for name in ("compile_frame_plan", "FramePlan", "PlanCache", "fastplan"):
             assert name not in repro.__all__
             assert not hasattr(repro, name), name
+
+    def test_import_does_not_load_networkx(self):
+        """networkx is only needed by the graph checks, which import it
+        when called; a plain ``import repro`` stays lean."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = "import sys, repro; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_quickstart_snippet(self):
         """The README quickstart, verbatim."""
