@@ -32,6 +32,13 @@ on top of one fabric, not the runner's scheduling of K fabrics)::
 
     PYTHONPATH=src python scripts/check_bench_regression.py --cluster
 
+``--compile`` gates the cold path: n = 1024 plan compile (min-of-k
+``compile_frame_plan`` on the bench's assignment, best of up to five
+bursts) fails when it is more than ``--threshold`` slower than the
+committed ``sizes`` row's ``plan_compile_ms``::
+
+    PYTHONPATH=src python scripts/check_bench_regression.py --compile
+
 A second mode, ``--adaptive-gate``, compares two ``repro chaos
 --overload --summary-out`` artifacts (static vs ``--adaptive``) instead
 of re-measuring throughput.  It enforces the adaptive control plane's
@@ -104,6 +111,33 @@ def committed_frames_per_s(
         file=sys.stderr,
     )
     sys.exit(2)
+
+
+def committed_compile_ms(path: pathlib.Path, n: int = 1024) -> float:
+    """The committed ``plan_compile_ms`` of the ``sizes`` row for ``n``,
+    or exit 2 if absent."""
+    try:
+        data = json.loads(path.read_text())
+    except FileNotFoundError:
+        print(f"bench regression: {path} not found", file=sys.stderr)
+        sys.exit(2)
+    for row in data.get("sizes", []):
+        if row.get("n") == n and "plan_compile_ms" in row:
+            return float(row["plan_compile_ms"])
+    print(f"bench regression: no sizes n={n} row in {path}", file=sys.stderr)
+    sys.exit(2)
+
+
+def measure_compile_ms(n: int = 1024, k: int = 40, warmup: int = 2) -> float:
+    """Min-of-k plan compile milliseconds on the bench's assignment."""
+    from repro.core.fastplan import compile_frame_plan
+
+    assignment = random_multicast(n, load=1.0, seed=n)
+    for _ in range(warmup):
+        compile_frame_plan(assignment)
+    return 1e3 * min(
+        _timed(compile_frame_plan, assignment) for _ in range(k)
+    )
 
 
 def measure_frames_per_s(
@@ -219,7 +253,8 @@ def main(argv=None) -> int:
         "--threshold",
         type=float,
         default=0.20,
-        help="maximum tolerated fractional drop (default 0.20)",
+        help="maximum tolerated fractional drop (default 0.20); with "
+        "--compile, the tolerated fractional slow-down",
     )
     parser.add_argument(
         "--executor",
@@ -234,6 +269,12 @@ def main(argv=None) -> int:
         action="store_true",
         help="gate the cluster section's 1-replica warm frames/s row "
         "instead of a raw executor row",
+    )
+    parser.add_argument(
+        "--compile",
+        action="store_true",
+        help="gate n=1024 plan compile time against the committed "
+        "sizes row instead of a throughput row",
     )
     parser.add_argument(
         "--adaptive-gate",
@@ -277,6 +318,24 @@ def main(argv=None) -> int:
             parser.error("--adaptive-gate requires --static and --adaptive")
         return adaptive_gate(args)
 
+    if args.compile:
+        committed = committed_compile_ms(args.json)
+        ceiling = committed * (1.0 + args.threshold)
+        # A busy host slows every sample of a burst; re-measure (up to
+        # five bursts, a few seconds apart) before calling a regression.
+        measured = measure_compile_ms()
+        for _ in range(4):
+            if measured <= ceiling:
+                break
+            time.sleep(3.0)
+            measured = min(measured, measure_compile_ms())
+        verdict = "OK" if measured <= ceiling else "REGRESSION"
+        print(
+            f"n=1024 plan compile: measured {measured:.2f} ms vs committed "
+            f"{committed:.2f} ms (ceiling {ceiling:.2f} at "
+            f"+{args.threshold:.0%}) -> {verdict}"
+        )
+        return 0 if measured <= ceiling else 1
     if args.cluster:
         committed = committed_frames_per_s(
             args.json, section="cluster", workers=1,

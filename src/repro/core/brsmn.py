@@ -175,6 +175,17 @@ def deliver_final_switch(
     return outputs, setting
 
 
+def _delivered(sources, outputs, payloads) -> List[Optional[Message]]:
+    """The messages an array-backed result delivers to ``outputs``
+    (``sources[i]`` feeds ``outputs[i]``; -1 delivers nothing)."""
+    return [
+        None
+        if src < 0
+        else Message(source=src, destinations=frozenset((o,)), payload=payloads[o])
+        for o, src in zip(outputs, sources)
+    ]
+
+
 class _LazyOutputs:
     """``RoutingResult.outputs``: stored as given, or built on first read.
 
@@ -190,20 +201,33 @@ class _LazyOutputs:
             raise AttributeError("outputs")
         outputs = result.__dict__["_outputs"]
         if outputs is None and result.delivery_src is not None:
-            payloads = result.payloads
-            outputs = [
-                None
-                if src < 0
-                else Message(
-                    source=src, destinations=frozenset((o,)), payload=payloads[o]
-                )
-                for o, src in enumerate(result.delivery_src.tolist())
-            ]
+            sources = result.delivery_src.tolist()
+            outputs = _delivered(sources, range(len(sources)), result.payloads)
             result.__dict__["_outputs"] = outputs
         return outputs
 
     def __set__(self, result, outputs) -> None:
         result.__dict__["_outputs"] = outputs
+
+
+class _PlanBsnStats:
+    """``bsn_stats`` of a result: stored as given, else read through the
+    result's compiled ``plan`` (which builds its stats tuple only on
+    first read, so serving never pays for it), else a fresh list that
+    the reference engine fills in."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass field's default
+        stats = result.__dict__["_bsn_stats"]
+        if stats is None:
+            if result.plan is not None:
+                return result.plan.bsn_stats
+            stats = result.__dict__["_bsn_stats"] = []
+        return stats
+
+    def __set__(self, result, stats) -> None:
+        result.__dict__["_bsn_stats"] = stats
 
 
 class _PerFrameTotals:
@@ -263,7 +287,8 @@ class RoutingResult(_PerFrameTotals):
             frame traversed, outermost first (depth-first order on the
             reference engine, level order on the fast engine — the
             multiset is identical).  On the fast engine this is the
-            compiled plan's tuple, shared by every frame it routes.
+            compiled plan's tuple, shared by every frame it routes and
+            built on first read.
         final_switches: number of last-level 2x2 switches that fired.
         trace: optional full stage trace (present when requested).
         engine: which engine produced the result.
@@ -295,7 +320,7 @@ class RoutingResult(_PerFrameTotals):
     assignment: MulticastAssignment
     outputs: List[Optional[Message]] = _LazyOutputs()
     mode: str
-    bsn_stats: Sequence[BsnFrameStats] = field(default_factory=list)
+    bsn_stats: Sequence[BsnFrameStats] = _PlanBsnStats()
     final_switches: int = 0
     trace: Optional[Trace] = None
     engine: str = "reference"
@@ -311,6 +336,15 @@ class RoutingResult(_PerFrameTotals):
         """True once ``outputs`` exists as a list: always for results
         built from messages, after the first read on the fast engine."""
         return self.__dict__["_outputs"] is not None
+
+    def messages_at(self, outputs: Sequence[int]) -> List[Optional[Message]]:
+        """``[self.outputs[o] for o in outputs]``; until ``outputs`` is
+        read, an array-backed result builds only these messages (equal
+        to the entries the full list would hold)."""
+        if self.outputs_materialised or self.delivery_src is None:
+            built = self.outputs
+            return [built[o] for o in outputs]
+        return _delivered(self.delivery_src[outputs].tolist(), outputs, self.payloads)
 
     @property
     def delivered(self) -> Dict[int, Message]:
@@ -341,7 +375,7 @@ class BatchRoutingResult(_PerFrameTotals):
         engine: which engine produced the result.
         bsn_stats: per-BSN statistics of ONE frame (every frame incurs
             the same work); the compiled plan's tuple on the fast
-            engine.
+            engine, built on first read.
         final_switches: last-level 2x2 switches fired per frame.
         plan_cache_hit: fast engine only — whether the shared plan came
             from the cache.
@@ -361,7 +395,7 @@ class BatchRoutingResult(_PerFrameTotals):
     delivery_src: "np.ndarray"
     mode: str
     engine: str = "reference"
-    bsn_stats: Sequence[BsnFrameStats] = field(default_factory=list)
+    bsn_stats: Sequence[BsnFrameStats] = _PlanBsnStats()
     final_switches: int = 0
     plan_cache_hit: Optional[bool] = None
     fault_casualties: List = field(default_factory=list)
@@ -731,7 +765,6 @@ class BRSMN:
             assignment=assignment,
             outputs=None,  # built from delivery_src on first read
             mode=mode,
-            bsn_stats=plan.bsn_stats,
             final_switches=plan.final_switches,
             engine="fast",
             plan_cache_hit=hit,
@@ -877,7 +910,6 @@ class BRSMN:
                 delivery_src=delivery_src,
                 mode=mode,
                 engine="fast",
-                bsn_stats=plan.bsn_stats,
                 final_switches=plan.final_switches,
                 plan_cache_hit=hit,
                 fault_casualties=self._plan_hits(plan, attempt),

@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,13 +48,13 @@ import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
 from ..obs.events import Event, emit
-from ..rbn.fast import fast_divide_epsilons_batch, fast_sort_permutation_batch
+from ..rbn.fast import block_counts, divide_epsilons, sort_gather
 from ..rbn.fast_scatter import (
     CODE_ALPHA,
     CODE_EPS,
     CODE_ONE,
     CODE_ZERO,
-    fast_scatter_gather_batch,
+    scatter_gather,
 )
 from ..rbn.permutations import check_network_size
 from .bsn import BsnFrameStats
@@ -92,11 +93,16 @@ def compile_level_gather(
             constraint (paper eq. (2)).
     """
     codes = np.asarray(codes, dtype=np.int64)
+    return _level_gather(codes, block_counts(codes, 4), stage_ns)
+
+
+def _level_gather(codes, counts, stage_ns) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`compile_level_gather` given the level's count matrix
+    (``[n0, n1, na, ne]`` per block), which the eq. (2) and eq. (3)
+    checks share."""
     blocks, size = codes.shape
     half = size // 2
-    n0 = (codes == CODE_ZERO).sum(axis=1)
-    n1 = (codes == CODE_ONE).sum(axis=1)
-    na = (codes == CODE_ALPHA).sum(axis=1)
+    n0, n1, na = counts[:, CODE_ZERO], counts[:, CODE_ONE], counts[:, CODE_ALPHA]
     if np.any(n0 + na > half) or np.any(n1 + na > half):
         bad = int(np.argmax((n0 + na > half) | (n1 + na > half)))
         raise RoutingInvariantError(
@@ -107,7 +113,7 @@ def compile_level_gather(
 
     # Scatter pass (Theorem 2): eliminate every alpha, s = 0 per block.
     t = perf_counter_ns() if stage_ns is not None else 0
-    scat = fast_scatter_gather_batch(codes, 0)
+    scat = scatter_gather(codes, np.zeros(blocks, dtype=np.int64), counts)
     scat_codes = scat.output_codes(codes)
     if stage_ns is not None:
         now = perf_counter_ns()
@@ -117,12 +123,9 @@ def compile_level_gather(
     # Quasisort pass (Section 5.2) on the scatter outputs: re-encode for
     # the quasisort kernels ({0, 1, EPS} -> {0, 1, 2}), divide epsilons,
     # then ascending bit sort to C(n/2, n/2) over the one-population.
-    quasi = np.where(scat_codes == CODE_EPS, 2, scat_codes).reshape(blocks, size)
-    divided = fast_divide_epsilons_batch(quasi)
-    one_mask = (divided == 1) | (divided == 4)
-    perm_local = fast_sort_permutation_batch(one_mask.astype(np.int64), half)
-    offsets = (np.arange(blocks, dtype=np.int64) * size)[:, None]
-    perm = (perm_local + offsets).reshape(blocks * size)
+    quasi = np.minimum(scat_codes, 2).reshape(blocks, size)
+    divided = divide_epsilons(quasi, block_counts(quasi, 3))
+    perm = sort_gather((divided == 1) | (divided == 4), np.full(blocks, half))
     if stage_ns is not None:
         stage_ns["quasisort"] = stage_ns.get("quasisort", 0) + (
             perf_counter_ns() - t
@@ -150,9 +153,9 @@ class FramePlan:
         delivery_src: int array — ``delivery_src[o]`` is the input index
             whose message the network delivers to output ``o``, or -1
             for an idle output.
-        bsn_stats: per-BSN frame statistics in level order (outermost
-            level first, blocks top-to-bottom within a level); the same
-            multiset as the reference engine's depth-first list.
+        bsn_counts: per recursion level (outermost first), the
+            ``(blocks, 4)`` matrix of each BSN's input populations
+            ``[n0, n1, na, ne]`` (blocks top-to-bottom).
         final_switches: last-level 2x2 switches fired (= n/2).
         lost_outputs: outputs whose payload a dead cell destroys on
             every attempt.
@@ -166,12 +169,13 @@ class FramePlan:
             level included (summed once, at construction).
 
     ``delivery_src`` is made read-only at construction: routing results
-    share it instead of copying it per frame.
+    share it instead of copying it per frame.  :attr:`bsn_stats` is
+    built from ``bsn_counts`` on first read.
     """
 
     n: int
     delivery_src: np.ndarray
-    bsn_stats: Tuple[BsnFrameStats, ...] = ()
+    bsn_counts: Tuple[np.ndarray, ...] = ()
     final_switches: int = 0
     lost_outputs: Tuple[int, ...] = ()
     flaky_exposure: Tuple[Tuple[object, Tuple[int, ...], Tuple[int, ...]], ...] = ()
@@ -181,13 +185,29 @@ class FramePlan:
 
     def __post_init__(self) -> None:
         self.delivery_src.flags.writeable = False
-        object.__setattr__(
-            self, "total_splits", sum(st.splits for st in self.bsn_stats)
-        )
-        object.__setattr__(
-            self,
-            "switch_ops",
-            sum(st.switch_ops for st in self.bsn_stats) + self.final_switches,
+        splits = sum(int(c[:, CODE_ALPHA].sum()) for c in self.bsn_counts)
+        # A BSN of size s runs two RBNs of (s/2) log2 s switches each.
+        ops = sum(self.n * ((self.n // len(c)).bit_length() - 1)
+                  for c in self.bsn_counts)
+        object.__setattr__(self, "total_splits", splits)
+        object.__setattr__(self, "switch_ops", ops + self.final_switches)
+
+    @cached_property
+    def bsn_stats(self) -> Tuple[BsnFrameStats, ...]:
+        """Per-BSN frame statistics in level order (outermost level
+        first, blocks top-to-bottom within a level); the same multiset
+        as the reference engine's depth-first list.  Built on first
+        read, then shared."""
+        return tuple(
+            BsnFrameStats(
+                size=size,
+                input_counts={"n0": n0, "n1": n1, "na": na, "ne": ne},
+                splits=na,
+                switch_ops=size * (size.bit_length() - 1),
+            )
+            for counts in self.bsn_counts
+            for size in (self.n // len(counts),)
+            for n0, n1, na, ne in counts.tolist()
         )
 
     @property
@@ -301,6 +321,10 @@ class FramePlan:
         return out
 
 
+# Scatter code of a position from its "owns upper / owns lower" bits.
+_CODE_OF_OWNS = np.array([CODE_EPS, CODE_ONE, CODE_ZERO, CODE_ALPHA])
+
+
 def compile_frame_plan(
     assignment: MulticastAssignment,
     observer=None,
@@ -356,7 +380,7 @@ def compile_frame_plan(
     injects[source[used]] = True
     origin = np.where(injects, np.arange(n), -1)
 
-    stats: List[BsnFrameStats] = []
+    counts: List[np.ndarray] = []
     outputs_idx = np.arange(n, dtype=np.int64)
     size = n
     while size > 2:
@@ -366,41 +390,17 @@ def compile_frame_plan(
             stage_ns: Dict[str, int] = {}
             t_level = t_stage = perf_counter_ns()
 
-        # ---- tag each position from the outputs it still owns.
+        # ---- tag each position from the outputs it still owns: bit 1
+        # if it owns an upper-half output, bit 0 a lower-half one.
         active = owner >= 0
-        own_pos = owner[active]
-        upper_half = ((outputs_idx[active] // half) % 2) == 0
-        up_cnt = np.zeros(n, dtype=np.int64)
-        lo_cnt = np.zeros(n, dtype=np.int64)
-        np.add.at(up_cnt, own_pos[upper_half], 1)
-        np.add.at(lo_cnt, own_pos[~upper_half], 1)
-        codes = np.full(n, CODE_EPS, dtype=np.int64)
-        codes[(up_cnt > 0) & (lo_cnt == 0)] = CODE_ZERO
-        codes[(up_cnt == 0) & (lo_cnt > 0)] = CODE_ONE
-        codes[(up_cnt > 0) & (lo_cnt > 0)] = CODE_ALPHA
-        codes2d = codes.reshape(blocks, size)
-
-        # ---- per-BSN statistics (assignment-determined, so part of
-        # the compiled plan, not recomputed per payload frame).
-        m_blk = size.bit_length() - 1
-        n0 = (codes2d == CODE_ZERO).sum(axis=1)
-        n1 = (codes2d == CODE_ONE).sum(axis=1)
-        na = (codes2d == CODE_ALPHA).sum(axis=1)
-        ne = (codes2d == CODE_EPS).sum(axis=1)
-        for b in range(blocks):
-            stats.append(
-                BsnFrameStats(
-                    size=size,
-                    input_counts={
-                        "n0": int(n0[b]),
-                        "n1": int(n1[b]),
-                        "na": int(na[b]),
-                        "ne": int(ne[b]),
-                    },
-                    splits=int(na[b]),
-                    switch_ops=2 * half * m_blk,
-                )
-            )
+        lower_out = (outputs_idx // half) & 1
+        owns = np.zeros(2 * n, dtype=np.int64)
+        owns[owner[active] + n * lower_out[active]] = 1
+        codes2d = _CODE_OF_OWNS[2 * owns[:n] + owns[n:]].reshape(blocks, size)
+        # Per-BSN input populations: assignment-determined, so part of
+        # the compiled plan (stats are built from them on demand).
+        level_counts = block_counts(codes2d, 4)
+        counts.append(level_counts)
 
         if emit:
             now = perf_counter_ns()
@@ -408,22 +408,16 @@ def compile_frame_plan(
             t_stage = now
 
         # ---- route the level and advance the tracking arrays.
-        src, role = compile_level_gather(codes2d, stage_ns if emit else None)
+        src, role = _level_gather(codes2d, level_counts, stage_ns if emit else None)
         if emit:
             t_stage = perf_counter_ns()
-        positions = outputs_idx
-        inv_zero = np.full(n, -1, dtype=np.int64)
-        inv_one = np.full(n, -1, dtype=np.int64)
-        took_zero = role != 2
-        took_one = role != 1
-        inv_zero[src[took_zero]] = positions[took_zero]
-        inv_one[src[took_one]] = positions[took_one]
-
+        # inv[q] / inv[n + q]: where the tag-0 / tag-1 copy of the cell
+        # at position q went (a unicast cell fills both slots).
+        inv = np.full(2 * n, -1, dtype=np.int64)
+        inv[src + n * (role == 2)] = outputs_idx
+        inv[src + n * (role != 1)] = outputs_idx
         origin = origin[src]
-        safe_owner = np.maximum(owner, 0)
-        upper_out = ((outputs_idx // half) % 2) == 0
-        new_owner = np.where(upper_out, inv_zero[safe_owner], inv_one[safe_owner])
-        owner = np.where(owner >= 0, new_owner, -1)
+        owner = np.where(active, inv[np.maximum(owner, 0) + n * lower_out], -1)
         if np.any((owner < 0) & used):
             raise RoutingInvariantError(
                 "fast plan lost track of a delivery while compiling"
@@ -449,8 +443,8 @@ def compile_frame_plan(
                         "level": m - (size.bit_length() - 1) + 1,
                         "size": size,
                         "blocks": blocks,
-                        "splits": int(na.sum()),
-                        "switch_ops": int(blocks * 2 * half * m_blk),
+                        "splits": int(level_counts[:, CODE_ALPHA].sum()),
+                        "switch_ops": n * (size.bit_length() - 1),
                         "stage_ns": stage_ns,
                         "duration_ns": now - t_level,
                         "engine": "fast",
@@ -473,7 +467,7 @@ def compile_frame_plan(
     return FramePlan(
         n=n,
         delivery_src=delivery_src,
-        bsn_stats=tuple(stats),
+        bsn_counts=tuple(counts),
         final_switches=n // 2,
         lost_outputs=lost_outputs,
         flaky_exposure=flaky_exposure,

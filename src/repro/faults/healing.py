@@ -4,9 +4,10 @@ The paper's routing is fire-and-forget — valid assignment in, verified
 deliveries out.  Under a :class:`~repro.faults.plan.FaultPlan` that
 contract breaks, and this module supplies the recovery loop:
 
-1. **Detect** — after every routing pass,
-   :func:`~repro.core.verification.verify_delivery` compares deliveries
-   against the assignment; any terminal that is missing or misrouted is
+1. **Detect** — after every routing pass the deliveries are compared
+   against the assignment (one vector comparison of the result's
+   ``delivery_src`` with the assignment's source vector when the
+   network provides it); any terminal that is missing or misrouted is
    a casualty.
 2. **Retry / reroute** — the failed terminals (only) are re-submitted
    as a *repair assignment* under a fresh attempt number, bounded by a
@@ -34,6 +35,8 @@ import random
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.multicast import MulticastAssignment
 from ..core.verification import VerificationReport, verify_delivery
@@ -222,8 +225,30 @@ class DegradedResult:
         return self.attempts > 1 or bool(self.lost)
 
 
-def _correct(msg, expected_source: int) -> bool:
-    return msg is not None and msg.source == expected_source
+def _check_pass(result, expected, terminals, inverse):
+    """Split one pass's ``terminals`` into ``(verified, failed)``.
+
+    ``verified`` maps each correctly delivered terminal to its message.
+    A result carrying ``delivery_src`` is checked with one vector
+    comparison against ``expected`` (the assignment's source vector),
+    and only the verified terminals' messages are built; other results
+    (feedback network, baselines) are walked message by message.
+    """
+    src = getattr(result, "delivery_src", None)
+    if src is None:
+        verified = {}
+        failed = []
+        for o in terminals:
+            msg = result.outputs[o]
+            if msg is not None and msg.source == inverse[o]:
+                verified[o] = msg
+            else:
+                failed.append(o)
+        return verified, failed
+    terminals = np.asarray(terminals, dtype=np.int64)
+    hit = src[terminals] == expected[terminals]
+    good = terminals[hit].tolist()
+    return dict(zip(good, result.messages_at(good))), terminals[~hit].tolist()
 
 
 def route_with_healing(
@@ -283,15 +308,13 @@ def route_with_healing(
             plan_cache_hits=result.plan_cache_hits,
             plan_cache_misses=result.plan_cache_misses,
         )
-        failed: List[int] = []
-        for o in terminals:
-            if _correct(result.outputs[o], inverse[o]):
-                outcome.outputs[o] = result.outputs[o]
-                outcome.outcomes[o] = TerminalOutcome(
-                    output=o, source=inverse[o], status="delivered", attempts=1
-                )
-            else:
-                failed.append(o)
+        expected = assignment.source_vector()
+        verified, failed = _check_pass(result, expected, terminals, inverse)
+        for o, msg in verified.items():
+            outcome.outputs[o] = msg
+            outcome.outcomes[o] = TerminalOutcome(
+                output=o, source=inverse[o], status="delivered", attempts=1
+            )
 
         retry = 0
         while failed and retry < policy.max_retries:
@@ -324,24 +347,18 @@ def route_with_healing(
             outcome.switch_ops += repaired.switch_ops
             outcome.plan_cache_hits += repaired.plan_cache_hits
             outcome.plan_cache_misses += repaired.plan_cache_misses
-            still_failed: List[int] = []
-            healed: List[int] = []
-            for o in failed:
-                if _correct(repaired.outputs[o], inverse[o]):
-                    outcome.outputs[o] = repaired.outputs[o]
-                    outcome.outcomes[o] = TerminalOutcome(
-                        output=o,
-                        source=inverse[o],
-                        status="recovered",
-                        attempts=retry + 1,
-                    )
-                    healed.append(o)
-                else:
-                    still_failed.append(o)
-            if healed:
+            verified, failed = _check_pass(repaired, expected, failed, inverse)
+            for o, msg in verified.items():
+                outcome.outputs[o] = msg
+                outcome.outcomes[o] = TerminalOutcome(
+                    output=o,
+                    source=inverse[o],
+                    status="recovered",
+                    attempts=retry + 1,
+                )
+            if verified:
                 emit(observer, "faults.healing", "recovered", attempt=retry,
-                     terminals=tuple(healed))
-            failed = still_failed
+                     terminals=tuple(verified))
 
         for o in failed:
             outcome.outcomes[o] = TerminalOutcome(

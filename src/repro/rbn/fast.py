@@ -1,42 +1,40 @@
-"""NumPy-vectorised fast path for bit sorting and quasisorting.
+"""NumPy fast path for the bit-sorting and quasisorting RBN passes.
 
 The reference implementations (:mod:`repro.rbn.bitsort`,
-:mod:`repro.rbn.quasisort`) mirror the paper's distributed algorithms
-with per-switch Python loops — ideal for inspection and tracing, but
-interpreted-loop-bound at large ``n``.  This module reimplements the
-same mathematics as whole-array NumPy operations:
+:mod:`repro.rbn.quasisort`) walk the paper's distributed algorithms
+switch by switch.  This module evaluates the same mathematics from the
+closed forms of the backward phases, in a fixed number of array calls
+per stage:
 
-* the forward phase is a level-synchronous ``reshape(...).sum(axis=1)``
-  over the count vector;
-* the backward phase computes all of one level's ``(s0, s1)`` pairs
-  with vector arithmetic;
-* each merging stage's compact switch settings become one boolean
-  comparison per (node, switch) matrix, and the data movement becomes a
-  gather-index permutation composed across stages.
+* **bit sort (Theorem 1)** — a node's start position is the root start
+  plus the number of gamma cells before the node (mod the node size).
+  One ``cumsum`` gives every node's start, and the settings of every
+  node of all ``m`` stages come from one evaluation;
+* **epsilon division (Table 6)** — the upper-first top-down split gives
+  dummy 0 to the first ``e0`` epsilons of a block, so one ``cumsum``
+  ranks the epsilons and a comparison labels them.
 
-The result is a pure *permutation* ``pi`` with ``out[i] = in[pi[i]]``,
-so callers apply it to any payload sequence.  The broadcast-bearing
-scatter pass vectorises separately into a *gather* (duplication = a
-repeated source index) in :mod:`repro.rbn.fast_scatter`; together they
-make every pass of a BSN array-native.
+Every pass is one Table 5 compact setting per node;
+:func:`compose_stages` expands them into ``(m, n)`` stage gathers
+(through an 8-entry ``(setting, is_lower)`` table) and composes those
+into one gather ``out[i] = in[src[i]]``.  The node tables this needs
+depend only on the shape, so :func:`shape_tables` memoises them per
+``(blocks, n)``.  The broadcast-bearing scatter pass
+(:mod:`repro.rbn.fast_scatter`) uses the same machinery.
 
-Both kernels come in a *block-batched* form
-(:func:`fast_sort_permutation_batch`,
-:func:`fast_divide_epsilons_batch`) operating on a ``(blocks, n')``
-matrix of independent same-size sub-networks at once.  One BRSMN
-recursion level is exactly that — ``2^k`` side-by-side BSNs of size
-``n / 2^k`` — so the end-to-end plan compiler
-(:mod:`repro.core.fastplan`) runs a whole level in a handful of array
-operations instead of looping over sub-networks.
+Every kernel is *block-batched*: a ``(blocks, n')`` matrix of
+independent same-size sub-networks runs in the same array calls; one
+BRSMN recursion level is ``2^k`` side-by-side BSNs of size ``n / 2^k``.
 
-Equivalence with the reference implementation is property-tested
-(``tests/rbn/test_fast.py``) and the speedup is measured by
-``benchmarks/bench_fast_engine.py``.
+Equivalence with the reference implementation is tested in
+``tests/rbn/test_fast.py`` and ``tests/rbn/test_compile_kernels.py``;
+``benchmarks/bench_fast_engine.py`` measures the speed.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +51,112 @@ __all__ = [
     "fast_quasisort",
     "fast_sort_cells",
 ]
+
+
+class ShapeTables(NamedTuple):
+    """Node tables of ``blocks`` side-by-side ``n``-input RBNs.
+
+    Stage ``k`` (``k = 0`` outermost) splits the flat ``blocks * n``
+    layout into nodes of size ``n >> k``, each a merging stage of
+    ``(n >> k) / 2`` switches.  Nodes are numbered level-major (all of
+    stage 0, then stage 1, ...), which is also the order in which they
+    tile the flat ``(m, blocks * n)`` layout of all stages.
+    """
+
+    node_half: np.ndarray  # (N,): half size of each node
+    node_mid: np.ndarray  # (N,): flat position of each node's lower half
+    level_start: Tuple[int, ...]  # m + 1 offsets into the node arrays
+
+
+@lru_cache(maxsize=64)
+def shape_tables(blocks: int, n: int) -> ShapeTables:
+    """The memoised (read-only, int32) :class:`ShapeTables` of a shape."""
+    m = check_network_size(n)
+    starts = blocks * ((1 << np.arange(m + 1)) - 1)
+    node_level = np.repeat(np.arange(m), blocks << np.arange(m))
+    node_half = n >> (node_level + 1)
+    node_j = np.arange(starts[m]) - starts[node_level]
+    tables = ShapeTables(
+        node_half=node_half.astype(np.int32),
+        node_mid=(node_j * 2 * node_half + node_half).astype(np.int32),
+        level_start=tuple(int(v) for v in starts),
+    )
+    for table in tables[:-1]:
+        table.flags.writeable = False
+    return tables
+
+
+# (2 * setting + is_lower) -> source offset in units of the node half,
+# and the copy role (0 unicast, 1/2 the tag-0/tag-1 copy of a split
+# alpha).  Settings are SwitchSetting values: 0 parallel, 1 cross,
+# 2 upper broadcast, 3 lower broadcast; the upper output of switch i
+# sits at i, the lower at i + half.
+_HALF_OFFSET = np.array([0, 0, 1, -1, 0, -1, 1, 0])
+_ROLE = np.array([0, 0, 0, 0, 1, 2, 1, 2])
+_IS_LOWER = np.array([[0], [0], [0], [1], [1], [1]])
+
+
+def compose_stages(
+    tables: ShapeTables, blk_s, blk_l, val, pre, post, with_role: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Run one Table 5 compact setting per node as one flat gather.
+
+    A node's setting is a circular block ``[blk_s, blk_s + blk_l)`` of
+    ``val`` switches, ``pre`` before the block and ``post`` after it:
+    at most three constant runs over its switches, which its upper and
+    then its lower outputs repeat.  One ``np.repeat`` of the runs'
+    ``(setting, is_lower)`` gather offsets therefore lays out the stage
+    gathers of every node of every stage.
+
+    Returns ``(src, role)``: output ``i`` takes input ``src[i]``;
+    ``role`` (``None`` unless ``with_role``) marks the copies of split
+    alphas.  With ``y_m`` the input and ``y_k[i] = y_{k+1}[stage_k[i]]``,
+    the pass is ``src = stage_{m-1}[... stage_0]``, composed outermost
+    stage first.
+    """
+    h = tables.node_half
+    end = blk_s + blk_l
+    wrap = end > h  # the block wraps: [0, end - h) and [blk_s, h)
+    settings = np.where(wrap, (val, pre, val), (pre, val, post))
+    lengths = np.where(
+        wrap, (end - h, h - blk_l, h - blk_s), (blk_s, blk_l, h - end)
+    )
+    runs = 2 * np.concatenate((settings, settings)) + _IS_LOWER  # (6, N)
+    lengths = np.concatenate((lengths, lengths)).T.reshape(-1)
+    offsets = np.repeat((_HALF_OFFSET[runs] * h).T.reshape(-1), lengths)
+    stage = offsets.reshape(len(tables.level_start) - 1, -1)
+    stage += np.arange(stage.shape[1])
+    src = stage[0]
+    if not with_role:
+        for k in range(1, stage.shape[0]):
+            src = stage[k][src]
+        return src, None
+    role = np.repeat(_ROLE[runs].T.reshape(-1), lengths).reshape(stage.shape)
+    out_role = role[0]
+    for k in range(1, stage.shape[0]):
+        # A split never yields another alpha, so at most one stage of a
+        # chain broadcasts; its role is the chain's.
+        r = role[k][src]
+        out_role = np.where(r != 0, r, out_role)
+        src = stage[k][src]
+    return src, out_role
+
+
+def sort_gather(gamma: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
+    """Theorem 1 over a ``(blocks, n)`` 0/1 matrix, as a flat gather.
+
+    With ``P`` the root start plus the gamma count before a position,
+    the backward phase's inputs at a node's midpoint are ``s1 = P mod
+    half`` and ``b = floor(P / half) mod 2``; the node's merging stage
+    is the compact setting ``W(0, s1; 1 - b, b)``.
+    """
+    blocks, n = gamma.shape
+    tab = shape_tables(blocks, n)
+    start = np.cumsum(gamma, axis=1) - gamma + s_vals[:, None]
+    at_mid = start.reshape(-1)[tab.node_mid]
+    s1 = at_mid % tab.node_half
+    b = (at_mid // tab.node_half) & 1
+    return compose_stages(tab, np.zeros_like(s1), s1, b, 1 - b, 1 - b)[0]
 
 
 def fast_sort_permutation_batch(gamma: np.ndarray, s) -> np.ndarray:
@@ -73,68 +177,12 @@ def fast_sort_permutation_batch(gamma: np.ndarray, s) -> np.ndarray:
     if gamma.ndim != 2:
         raise ValueError(f"expected a (blocks, n) matrix, got shape {gamma.shape}")
     blocks, n = gamma.shape
-    m = check_network_size(n)
-    s_vals = np.broadcast_to(np.asarray(s, dtype=np.int64), (blocks,)).copy()
+    check_network_size(n)
+    s_vals = np.broadcast_to(np.asarray(s, dtype=np.int64), (blocks,))
     if np.any((s_vals < 0) | (s_vals >= n)):
         raise ValueError(f"s={s} out of range [0, {n})")
-    total = blocks * n
-
-    # ---- forward phase: per-level gamma counts, leaves up.  Blocks are
-    # contiguous in the flat vector, so one reshape-sum per level serves
-    # every block at once; counts[0] holds the per-block roots.
-    counts: List[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    counts[m] = gamma.reshape(total)
-    for level in range(m - 1, -1, -1):
-        counts[level] = counts[level + 1].reshape(-1, 2).sum(axis=1)
-
-    # ---- backward phase + per-stage permutation, block roots down.
-    # s_vals[j] is the backward input of node j at the current level.
-    # perm maps output position -> input position (flat coordinates),
-    # composed across stages applied from the *outermost* stage inward;
-    # we build it by walking top-down and composing child permutations
-    # afterwards, which is equivalent to the recursive order (stage
-    # permutations at different levels act on disjoint block structures).
-    perm = np.arange(total, dtype=np.int64)
-    for level in range(m):
-        size = n >> level
-        half = size // 2
-        child = counts[level + 1]
-        l0 = child[0::2]
-        s0 = s_vals % half
-        s1 = (s_vals + l0) % half
-        b = ((s_vals + l0) // half) % 2
-
-        # Stage permutation for this level's merging networks:
-        # switch i of node j is CROSS iff (i < s1_j) == (b_j == 1),
-        # i.e. setting = b for i in [0, s1), else 1 - b.
-        nodes = blocks << level
-        i_idx = np.arange(half, dtype=np.int64)[None, :]        # (1, half)
-        in_block = i_idx < s1[:, None]                           # (nodes, half)
-        cross = np.where(in_block, b[:, None], 1 - b[:, None])   # 0/1
-
-        base = (np.arange(nodes, dtype=np.int64) * size)[:, None]
-        out_u = base + i_idx            # output positions 0..half-1 per node
-        out_l = out_u + half
-        src_u = base + i_idx + half * cross          # cross -> take lower
-        src_l = base + i_idx + half * (1 - cross)    # cross -> take upper
-        stage_perm = np.empty(total, dtype=np.int64)
-        stage_perm[out_u.ravel()] = src_u.ravel()
-        stage_perm[out_l.ravel()] = src_l.ravel()
-
-        # Stages run innermost-first physically, so with y_m = input and
-        # y_l[i] = y_{l+1}[stage_l[i]], the total map is
-        # pi[i] = stage_{m-1}[...stage_1[stage_0[i]]...]; walking
-        # top-down (outermost first) we accumulate pi' = stage[pi].
-        perm = stage_perm[perm]
-        # next level's backward inputs
-        s_next = np.empty(2 * s_vals.shape[0], dtype=np.int64)
-        s_next[0::2] = s0
-        s_next[1::2] = s1
-        s_vals = s_next
-
-    # flat -> block-local indices (each block permutes only itself)
-    offsets = (np.arange(blocks, dtype=np.int64) * n)[:, None]
-    return perm.reshape(blocks, n) - offsets
+    perm = sort_gather(gamma, s_vals).reshape(blocks, n)
+    return perm - (np.arange(blocks, dtype=np.int64) * n)[:, None]
 
 
 def fast_sort_permutation(gamma: np.ndarray, s: int) -> np.ndarray:
@@ -150,12 +198,40 @@ def fast_sort_permutation(gamma: np.ndarray, s: int) -> np.ndarray:
         places the gamma cells at ``C^n_{s, l}`` exactly as the
         reference :func:`repro.rbn.bitsort.route_to_compact` does.
     """
-    gamma = np.asarray(gamma, dtype=np.int64)
-    n = gamma.shape[0]
-    check_network_size(n)
-    if not 0 <= int(s) < n:
-        raise ValueError(f"s={s} out of range [0, {n})")
-    return fast_sort_permutation_batch(gamma[None, :], int(s))[0]
+    return fast_sort_permutation_batch(np.asarray(gamma)[None, :], int(s))[0]
+
+
+def block_counts(codes: np.ndarray, k: int) -> np.ndarray:
+    """``(blocks, k)`` populations of the codes ``0 .. k-1`` per row."""
+    blocks = codes.shape[0]
+    keyed = codes + k * np.arange(blocks)[:, None]
+    return np.bincount(keyed.reshape(-1), minlength=blocks * k).reshape(blocks, k)
+
+
+def divide_epsilons(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Table 6 on a ``(blocks, n)`` 0/1/2 matrix whose per-block
+    ``[n0, n1, ne]`` populations are ``counts``.
+
+    The upper-first top-down split hands dummy 0 to the first ``e0``
+    epsilons of each block, so an epsilon's rank among the block's
+    epsilons decides its label.
+    """
+    n = codes.shape[1]
+    half = n // 2
+    n_zero, n_one, n_eps = counts[:, 0], counts[:, 1], counts[:, 2]
+    if np.any(n_one > half) or np.any(n_zero > half):
+        bad = int(np.argmax((n_one > half) | (n_zero > half)))
+        raise RoutingInvariantError(
+            "quasisort precondition violated: "
+            f"n0={int(n_zero[bad])}, n1={int(n_one[bad])} (block {bad})"
+        )
+    root_e1 = half - n_one
+    root_e0 = n_eps - root_e1
+    if np.any(root_e0 < 0) or np.any(root_e1 < 0):
+        raise RoutingInvariantError("epsilon-division counts went negative")
+    is_eps = codes == 2
+    rank = np.cumsum(is_eps, axis=1) - is_eps
+    return np.where(is_eps, 4 - (rank < root_e0[:, None]), codes)
 
 
 def fast_divide_epsilons_batch(codes: np.ndarray) -> np.ndarray:
@@ -172,48 +248,8 @@ def fast_divide_epsilons_batch(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2:
         raise ValueError(f"expected a (blocks, n) matrix, got shape {codes.shape}")
-    blocks, n = codes.shape
-    m = check_network_size(n)
-    total = blocks * n
-    flat = codes.reshape(total)
-    is_eps = (flat == 2).astype(np.int64)
-    n_one = (codes == 1).sum(axis=1)
-    n_zero = (codes == 0).sum(axis=1)
-    half = n // 2
-    if np.any(n_one > half) or np.any(n_zero > half):
-        bad = int(np.argmax((n_one > half) | (n_zero > half)))
-        raise RoutingInvariantError(
-            "quasisort precondition violated: "
-            f"n0={int(n_zero[bad])}, n1={int(n_one[bad])} (block {bad})"
-        )
-
-    # forward: eps counts per node per level (ne[0] = per-block roots)
-    ne: List[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    ne[m] = is_eps
-    for level in range(m - 1, -1, -1):
-        ne[level] = ne[level + 1].reshape(-1, 2).sum(axis=1)
-
-    root_e1 = half - n_one
-    root_e0 = ne[0] - root_e1
-    if np.any(root_e0 < 0) or np.any(root_e1 < 0):
-        raise RoutingInvariantError("epsilon-division counts went negative")
-
-    e0 = root_e0.astype(np.int64)
-    for level in range(m):
-        ne_u = ne[level + 1][0::2]
-        e0_u = np.minimum(e0, ne_u)
-        e0_l = e0 - e0_u
-        nxt = np.empty(2 * e0.shape[0], dtype=np.int64)
-        nxt[0::2] = e0_u
-        nxt[1::2] = e0_l
-        e0 = nxt
-
-    out = flat.copy()
-    eps_mask = flat == 2
-    # at the leaves, e0 is 1 where the eps becomes a dummy 0
-    out[eps_mask & (e0 == 1)] = 3
-    out[eps_mask & (e0 == 0)] = 4
-    return out.reshape(blocks, n)
+    check_network_size(codes.shape[1])
+    return divide_epsilons(codes, block_counts(codes, 3))
 
 
 def fast_divide_epsilons(codes: np.ndarray) -> np.ndarray:

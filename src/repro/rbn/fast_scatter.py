@@ -1,11 +1,9 @@
-"""NumPy-vectorised scatter network: Table 4 compiled to a gather.
+"""NumPy scatter network: Table 4 compiled to a gather.
 
 The reference scatter network (:mod:`repro.rbn.scatter`) runs the
-paper's distributed algorithm switch by switch.  This module compiles
-the *same* Table 4 mathematics — forward surplus/dominating-type
-counts, backward lemma starting positions, and the Lemma 1-5 compact
-switch settings — into whole-array NumPy operations, producing a
-**gather index array**::
+paper's distributed algorithm switch by switch.  This module evaluates
+the *same* Table 4 mathematics as whole-array NumPy operations,
+producing a **gather index array**::
 
     out[i] = in[src[i]]
 
@@ -17,40 +15,41 @@ plain unicast move.  Because a split never produces another alpha, at
 most one broadcast occurs along any input-output chain, so one
 ``(src, role)`` pair per output suffices to describe the whole pass.
 
-The construction per tree level:
+One pass is four steps, each a fixed number of array calls per level:
 
-* **forward** — surplus counts ``l`` and dominating types fold up the
-  tree with ``reshape(-1, 2)`` slices (epsilon/alpha addition and
-  elimination, Lemmas 1-5);
-* **backward** — the per-node child starting positions ``(s0, s1)`` are
-  the lemma formulas evaluated as ``np.where`` branches;
+* **forward** — the ``m``-step ``(l, t)`` fold up the tree.  The surplus
+  is kept signed (``+l`` alpha-dominated, ``-l`` epsilon-dominated), so
+  Lemma 1's addition and Lemmas 2-5's elimination are one sum; the type
+  of a zero surplus is its upper child's;
+* **backward** — every node's child-start offsets depend only on the
+  forward counts, so they are evaluated for all nodes at once, and the
+  starts accumulate down the tree as ``repeat + delta`` (the node sizes
+  are powers of two, so one final ``mod`` per node suffices);
 * **settings** — every lemma's switch vector is one of Table 5's
-  compact settings, i.e. fully described by five scalars per node
-  (block start, block length, block value, pre/post unicast values),
-  which expand to a ``(nodes, n'/2)`` setting matrix in one comparison;
-* **composition** — each stage's setting matrix becomes a stage gather,
-  and stages compose top-down exactly like the permutation kernels in
-  :mod:`repro.rbn.fast`.
+  compact settings, five scalars per node (block start, block length,
+  block value, pre/post value), evaluated for all levels at once;
+* **gather** — :func:`repro.rbn.fast.compose_stages` expands the
+  scalars to ``(m, n)`` stage gathers and roles and composes them.
 
-Like those kernels, everything is *block-batched*: a ``(blocks, n')``
-code matrix runs ``blocks`` independent scatter networks in the same
-array operations, which is what one BRSMN level needs.
+Like :mod:`repro.rbn.fast`, everything is block-batched.
 
 Equivalence with :func:`repro.rbn.scatter.scatter` (cells, positions,
-branch payloads, dummy handling) is property-tested in
-``tests/rbn/test_fast_scatter.py``.
+branch payloads, dummy handling) is tested in
+``tests/rbn/test_fast_scatter.py`` and
+``tests/rbn/test_compile_kernels.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.tags import Tag
 from ..errors import RoutingInvariantError
 from .cells import Cell
+from .fast import block_counts, compose_stages, shape_tables
 from .permutations import check_network_size
 from .switches import SwitchSetting
 
@@ -82,9 +81,6 @@ _SCATTER_CODE_OF_TAG = {
     Tag.EPS1: CODE_EPS,
 }
 
-_TAG_OF_CODE = (Tag.ZERO, Tag.ONE, Tag.ALPHA, Tag.EPS)
-
-
 def scatter_codes_of_cells(cells: Sequence[Cell]) -> np.ndarray:
     """Project a cell vector onto the scatter kernel's integer codes."""
     return np.fromiter(
@@ -112,10 +108,8 @@ class ScatterGather:
     def output_codes(self, codes: np.ndarray) -> np.ndarray:
         """Tag codes on the outputs, given the input codes (flat)."""
         flat = np.asarray(codes, dtype=np.int64).reshape(-1)
-        out = flat[self.src]
-        out[self.role == 1] = CODE_ZERO
-        out[self.role == 2] = CODE_ONE
-        return out
+        # role 1 / 2 carry tag 0 / 1 (CODE_ZERO == 0, CODE_ONE == 1)
+        return np.where(self.role == 0, flat[self.src], self.role - 1)
 
     def apply(self, cells: Sequence[Cell]) -> List[Cell]:
         """Materialise the pass on a cell vector.
@@ -139,6 +133,93 @@ class ScatterGather:
             else:
                 out.append(Cell(Tag.ONE, cell.branch1))
         return out
+
+
+def scatter_gather(
+    codes: np.ndarray, s_vals, counts: Optional[np.ndarray] = None
+) -> ScatterGather:
+    """Table 4 over a ``(blocks, n)`` code matrix, as a flat gather.
+
+    ``counts`` (optional, ``(blocks, 4)`` populations in code order)
+    validates eq. (3) — ``na <= ne`` — per block.
+    """
+    over = counts is not None and counts[:, CODE_ALPHA] > counts[:, CODE_EPS]
+    if np.any(over):
+        bad = int(np.argmax(over))
+        raise RoutingInvariantError(
+            "scatter precondition violated: "
+            f"na={int(counts[bad, CODE_ALPHA])} > ne={int(counts[bad, CODE_EPS])} "
+            f"(block {bad}, eq. (3) of the paper)"
+        )
+    blocks, n = codes.shape
+    tab = shape_tables(blocks, n)
+    starts = tab.level_start
+    flat = codes.reshape(-1)
+
+    # ---- forward: signed surplus d and dominating type t (1 = alpha)
+    # of every node below the roots, leaves up.
+    d = (flat == CODE_ALPHA).astype(np.int64) - (flat == CODE_EPS)
+    t = flat == CODE_ALPHA
+    d_levels, t_levels = [d], [t]
+    for _ in range(len(starts) - 2):
+        d = d[0::2] + d[1::2]
+        t = np.where(d == 0, t[0::2], d > 0)
+        d_levels.append(d)
+        t_levels.append(t)
+    # Children of every internal node, level-major: child pairs line up
+    # with the node order of ShapeTables.
+    d_child = np.concatenate(d_levels[::-1])
+    t_child = np.concatenate(t_levels[::-1])
+    l0, l1 = np.abs(d_child[0::2]), np.abs(d_child[1::2])
+    t0 = t_child[0::2]
+    same = t0 == t_child[1::2]
+    upper_dominates = l0 >= l1
+    l_out = np.abs(l0 - l1)
+
+    # ---- backward: child starts (mod n/2) are the node start plus
+    # Lemma 1: (0, l0); Lemmas 2/4 (l0 >= l1): (0, l_out);
+    # Lemmas 3/5 (l0 < l1): (l_out, 0).
+    delta0 = np.where(same | upper_dominates, 0, l_out)
+    delta1 = np.where(same, l0, np.where(upper_dominates, l_out, 0))
+    deltas = np.stack([delta0, delta1], axis=1).reshape(-1)
+    acc = [np.asarray(s_vals, dtype=np.int64)]
+    for k in range(len(starts) - 2):
+        acc.append(np.repeat(acc[-1], 2) + deltas[2 * starts[k]:2 * starts[k + 1]])
+    half = tab.node_half
+    s = np.concatenate(acc) % (2 * half)
+    s0 = (s + delta0) % half
+    s1 = (s + delta1) % half
+
+    # ---- settings (Table 5 compact form): a circular block
+    # [blk_s, blk_s + blk_l) of blk_val switches, pre_val before it and
+    # post_val after it.  Lemma 1: W(0, s1; 1 - b, b).  Elimination
+    # lemmas: the dominated half's block broadcasts (upper broadcast
+    # when the upper child is alpha-dominated); the unicast values
+    # around it depend on where [s, s + l_out) falls.
+    b = ((s + l0) // half) & 1
+    u = (~upper_dominates).astype(np.int64)
+    s_end = s + l_out
+    ends_upper = s_end < half
+    starts_upper = s < half
+    pre_e = u ^ (~ends_upper & (starts_upper | (s_end < 2 * half)))
+    post_e = u ^ ~starts_upper
+    src, role = compose_stages(
+        tab,
+        np.where(same, 0, np.where(upper_dominates, s1, s0)),
+        np.where(same, s1, np.where(upper_dominates, l1, l0)),
+        np.where(same, b, int(SwitchSetting.LOWER_BCAST) - t0),
+        np.where(same, 1 - b, pre_e),
+        np.where(same, 1 - b, post_e),
+        with_role=True,
+    )
+
+    # Broadcast sanity (Theorem 2's invariant): every split source must
+    # actually be an alpha cell.
+    if np.any(flat[src[role != 0]] != CODE_ALPHA):
+        raise RoutingInvariantError(
+            "scatter kernel produced a broadcast from a non-alpha cell"
+        )
+    return ScatterGather(src=src, role=role)
 
 
 def fast_scatter_gather_batch(
@@ -172,145 +253,12 @@ def fast_scatter_gather_batch(
     if codes.ndim != 2:
         raise ValueError(f"expected a (blocks, n) matrix, got shape {codes.shape}")
     blocks, n = codes.shape
-    m = check_network_size(n)
-    s_vals = np.broadcast_to(np.asarray(s, dtype=np.int64), (blocks,)).copy()
+    check_network_size(n)
+    s_vals = np.broadcast_to(np.asarray(s, dtype=np.int64), (blocks,))
     if np.any((s_vals < 0) | (s_vals >= n)):
         raise ValueError(f"s={s} out of range [0, {n})")
-    if require_bsn_precondition:
-        na = (codes == CODE_ALPHA).sum(axis=1)
-        ne = (codes == CODE_EPS).sum(axis=1)
-        if np.any(na > ne):
-            bad = int(np.argmax(na > ne))
-            raise RoutingInvariantError(
-                "scatter precondition violated: "
-                f"na={int(na[bad])} > ne={int(ne[bad])} (block {bad}, "
-                "eq. (3) of the paper)"
-            )
-    total = blocks * n
-    flat = codes.reshape(total)
-
-    # ---- forward phase (Table 4): surplus count l and dominating type
-    # t (0 = epsilon-dominated, 1 = alpha-dominated) per node, leaves up.
-    # Leaves: alpha -> (1, A), eps -> (1, E), chi -> (0, E).
-    l_levels: List[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    t_levels: List[np.ndarray] = [None] * (m + 1)  # type: ignore[list-item]
-    l_levels[m] = ((flat == CODE_ALPHA) | (flat == CODE_EPS)).astype(np.int64)
-    t_levels[m] = (flat == CODE_ALPHA).astype(np.int64)
-    for level in range(m - 1, -1, -1):
-        lc = l_levels[level + 1].reshape(-1, 2)
-        tc = t_levels[level + 1].reshape(-1, 2)
-        l0, l1 = lc[:, 0], lc[:, 1]
-        t0, t1 = tc[:, 0], tc[:, 1]
-        same = t0 == t1
-        # addition (Lemma 1) when types agree, elimination otherwise —
-        # the larger surplus's type dominates (Lemmas 2-5).
-        l_levels[level] = np.where(same, l0 + l1, np.abs(l0 - l1))
-        t_levels[level] = np.where(same, t0, np.where(l0 >= l1, t0, t1))
-
-    # ---- backward + setting phases, block roots down, one stage gather
-    # per level, composed top-down (see fast_sort_permutation_batch).
-    src = np.arange(total, dtype=np.int64)
-    role = np.zeros(total, dtype=np.int64)
-    for level in range(m):
-        size = n >> level
-        half = size // 2
-        nodes = blocks << level
-        lc = l_levels[level + 1]
-        tc = t_levels[level + 1]
-        l0, l1 = lc[0::2], lc[1::2]
-        t0, t1 = tc[0::2], tc[1::2]
-        s_cur = s_vals
-
-        same = t0 == t1
-        upper_dominates = l0 >= l1
-        l_out = np.abs(l0 - l1)
-
-        # Child starting positions: Lemma 1 vs the elimination lemmas.
-        # Lemma 1:            s0 = s,      s1 = s + l0       (mod n/2)
-        # Lemmas 2/4 (l0>=l1): s0 = s,      s1 = s + (l0-l1)  (mod n/2)
-        # Lemmas 3/5 (l0<l1):  s0 = s + (l1-l0), s1 = s       (mod n/2)
-        s0 = np.where(
-            same | upper_dominates, s_cur % half, (s_cur + l_out) % half
-        )
-        s1 = np.where(
-            same,
-            (s_cur + l0) % half,
-            np.where(upper_dominates, (s_cur + l_out) % half, s_cur % half),
-        )
-
-        # Switch settings: every lemma emits a Table 5 compact setting,
-        # describable by five per-node scalars — a circular block
-        # [blk_s, blk_s + blk_l) of blk_val switches, pre_val before the
-        # block and post_val after it (pre == post for binary settings).
-        # Lemma 1: W(0, s1; b-bar, b) with b = ((s + l0) div half) mod 2.
-        b = ((s_cur + l0) // half) % 2
-        # Elimination lemmas: the *dominated* half's block is broadcast.
-        bcast = np.where(t0 == 1, int(SwitchSetting.UPPER_BCAST),
-                         int(SwitchSetting.LOWER_BCAST))
-        u = np.where(upper_dominates, 0, 1)  # co-located unicast value
-        u_bar = 1 - u
-        elim_s = np.where(upper_dominates, s1, s0)
-        elim_l = np.where(upper_dominates, l1, l0)
-        # Four cases of the shared Lemma 2-5 body, keyed on where the
-        # target block [s, s+l) falls relative to the output halves.
-        s_end = s_cur + l_out
-        pre_e = np.where(
-            s_end < half, u,
-            np.where(s_cur < half, u_bar, np.where(s_end < size, u_bar, u)),
-        )
-        post_e = np.where(
-            s_end < half, u,
-            np.where(s_cur < half, u, np.where(s_end < size, u_bar, u_bar)),
-        )
-
-        blk_s = np.where(same, 0, elim_s)
-        blk_l = np.where(same, s1, elim_l)
-        blk_val = np.where(same, b, bcast)
-        pre_val = np.where(same, 1 - b, pre_e)
-        post_val = np.where(same, 1 - b, post_e)
-
-        i_idx = np.arange(half, dtype=np.int64)[None, :]          # (1, half)
-        in_block = ((i_idx - blk_s[:, None]) % half) < blk_l[:, None]
-        setting = np.where(
-            in_block,
-            blk_val[:, None],
-            np.where(i_idx < blk_s[:, None], pre_val[:, None], post_val[:, None]),
-        )
-
-        # Stage gather: switch i of a node joins terminals (i, i+half).
-        base = (np.arange(nodes, dtype=np.int64) * size)[:, None]
-        take_lower_u = (setting == 1) | (setting == 3)
-        take_lower_l = (setting == 0) | (setting == 3)
-        src_u = base + i_idx + half * take_lower_u
-        src_l = base + i_idx + half * take_lower_l
-        is_bcast = setting >= 2
-        stage_src = np.empty(total, dtype=np.int64)
-        stage_role = np.empty(total, dtype=np.int64)
-        out_u = (base + i_idx).ravel()
-        out_l = (base + i_idx + half).ravel()
-        stage_src[out_u] = src_u.ravel()
-        stage_src[out_l] = src_l.ravel()
-        stage_role[out_u] = np.where(is_bcast, 1, 0).ravel()
-        stage_role[out_l] = np.where(is_bcast, 2, 0).ravel()
-
-        # Compose: at most one broadcast per chain, so the first nonzero
-        # role encountered (walking outermost-in) is *the* split.
-        new_role = stage_role[src]
-        role = np.where(new_role != 0, new_role, role)
-        src = stage_src[src]
-
-        s_next = np.empty(2 * s_vals.shape[0], dtype=np.int64)
-        s_next[0::2] = s0
-        s_next[1::2] = s1
-        s_vals = s_next
-
-    # Broadcast sanity (Theorem 2's invariant): every split source must
-    # actually be an alpha cell.
-    if np.any(flat[src[role != 0]] != CODE_ALPHA):
-        raise RoutingInvariantError(
-            "scatter kernel produced a broadcast from a non-alpha cell"
-        )
-    return ScatterGather(src=src, role=role)
+    counts = block_counts(codes, CODE_EPS + 1) if require_bsn_precondition else None
+    return scatter_gather(codes, s_vals, counts)
 
 
 def fast_scatter_gather(
@@ -345,10 +293,6 @@ def fast_scatter_cells(
     gather; produces byte-identical cells (same objects for unicast
     moves, identical split pairs for alphas) at identical positions.
     """
-    n = len(cells)
-    check_network_size(n)
-    if not 0 <= s < n:
-        raise ValueError(f"s={s} out of range [0, {n})")
     codes = scatter_codes_of_cells(cells)
     gather = fast_scatter_gather(
         codes, s, require_bsn_precondition=require_bsn_precondition

@@ -69,10 +69,11 @@ def test_lazy_outputs_equal_eager_construction(n, faulted):
                 if net._injector is not None:
                     net._injector.attempt = attempt
                 result = net.route(a, payloads=payloads)
+                eager = _eager_outputs(result.plan, payloads, attempt)
+                picked = list(range(0, n, 3))
+                assert result.messages_at(picked) == [eager[o] for o in picked]
                 assert not result.outputs_materialised
-                assert result.outputs == _eager_outputs(
-                    result.plan, payloads, attempt
-                )
+                assert result.outputs == eager
                 assert result.outputs_materialised
                 assert result.outputs is result.outputs  # built once
                 if fault_plan is None:

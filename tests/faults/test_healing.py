@@ -254,3 +254,60 @@ class TestPlanCacheAccounting:
         ]
         assert cluster.stats.plan_cache_hits == sum(c.hits for c in caches)
         assert cluster.stats.plan_cache_misses == sum(c.misses for c in caches)
+
+
+class _WalkOnly:
+    """A network whose results hide ``delivery_src``, so the healing
+    loop falls back to walking ``outputs`` message by message."""
+
+    def __init__(self, network):
+        self.network = network
+        self.n = network.n
+        self.observer = network.observer
+        self._injector = network._injector
+
+    def route(self, assignment, **kwargs):
+        result = self.network.route(assignment, **kwargs)
+        result.outputs  # materialise before hiding the vector
+        result.delivery_src = None
+        return result
+
+
+class TestHealingReadsDeliveryVector:
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_degraded_result_as_message_walk(self, n, seed):
+        plan = FaultPlan.random(n, faults=n // 4, seed=seed)
+        a = random_multicast(n, load=1.0, seed=seed)
+        policy = RetryPolicy(max_retries=2)
+        vector = route_with_healing(
+            build_network(NetworkConfig(n, engine="fast", fault_plan=plan)),
+            a, policy=policy,
+        )
+        walked = route_with_healing(
+            _WalkOnly(build_network(
+                NetworkConfig(n, engine="fast", fault_plan=plan)
+            )),
+            a, policy=policy,
+        )
+        assert vector == walked
+
+    def test_builds_only_verified_messages(self, monkeypatch):
+        from repro.core import brsmn as brsmn_mod
+        from repro.core.message import Message
+
+        built = []
+
+        class CountingMessage(Message):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(brsmn_mod, "Message", CountingMessage)
+        n = 64
+        plan = FaultPlan.random(n, faults=12, seed=3)
+        net = build_network(NetworkConfig(n, engine="fast", fault_plan=plan))
+        result = route_with_healing(net, random_multicast(n, load=1.0, seed=3))
+        assert result.degraded
+        verified = len(result.delivered) + len(result.recovered)
+        assert len(built) == verified < n
