@@ -9,13 +9,9 @@ BRSMN frames, plus the underlying kernels, and regenerates:
 * ``BENCH_fast_engine.json`` at the repo root — machine-readable
   (n, reference ms, fast ms, batch throughput, plus a ``parallel``
   section: warm/cold frames/s at 1/2/4 workers with p50/p95, the
-  host's cpu_count, and a cold-cache single-flight demonstration, plus
-  a ``process`` section with the same shape for the multiprocess
-  executor and its object-dtype speedup over threads) so future PRs
-  can track the perf trajectory
-  (``scripts/check_bench_regression.py`` gates on it in CI — the
-  thread gate by default, the process gate with ``--executor
-  process``).
+  host's cpu_count, and a cold-cache single-flight demonstration) so
+  future PRs can track the perf trajectory
+  (``scripts/check_bench_regression.py`` gates on it in CI).
 
 All timings are min-of-k with a warmup iteration: the *minimum* over k
 repeats is the standard low-noise estimator for CPU-bound code (any
@@ -270,81 +266,6 @@ def test_end_to_end_speedup(write_artifact, benchmark):
     assert sf_cache.misses + sf_cache.coalesced + sf_cache.hits == 4
     results["parallel"] = parallel
 
-    # -- process executor: the same sharded batch over worker
-    # *processes* (shared-memory payload transport, PlanEnvelope plan
-    # shipping).  Numeric matrices are where threads already scale, so
-    # the numeric rows mostly price the IPC overhead honestly;
-    # object-dtype payloads are where processes earn their keep — the
-    # object gather holds the GIL, so threads serialise while processes
-    # overlap.  The >= 1.5x object-dtype acceptance assert only fires
-    # where 4 workers have >= 4 cores to run on; the measured numbers
-    # plus cpu_count are recorded regardless.
-    process = {
-        "n": pn,
-        "frames": pframes,
-        "cpu_count": os.cpu_count(),
-        "workers": [],
-    }
-    proc_warm_fps = {}
-    for workers in (1, 2, 4):
-        net = BRSMN(
-            NetworkConfig(
-                pn, engine="fast", workers=workers, executor="process"
-            )
-        )
-        warm = timing_stats(lambda: net.route_batch(pa, pmat), k=5, warmup=2)
-
-        def proc_cold():
-            net.plan_cache.clear()
-            net.route_batch(pa, pmat)
-
-        cold_t = timing_stats(proc_cold, k=3, warmup=1)
-        net.close()
-        proc_warm_fps[workers] = pframes / max(warm["min_s"], 1e-9)
-        process["workers"].append(
-            {
-                "workers": workers,
-                "warm_batch_ms": round(warm["min_s"] * 1e3, 4),
-                "warm_p50_ms": round(warm["p50_s"] * 1e3, 4),
-                "warm_p95_ms": round(warm["p95_s"] * 1e3, 4),
-                "warm_frames_per_s": round(proc_warm_fps[workers], 1),
-                "cold_batch_ms": round(cold_t["min_s"] * 1e3, 4),
-                "cold_p50_ms": round(cold_t["p50_s"] * 1e3, 4),
-                "cold_p95_ms": round(cold_t["p95_s"] * 1e3, 4),
-                "cold_frames_per_s": round(
-                    pframes / max(cold_t["min_s"], 1e-9), 1
-                ),
-            }
-        )
-
-    # Object-dtype head-to-head at 4 workers: threads vs processes.
-    omat = np.arange(pframes * pn).reshape(pframes, pn).astype(object)
-    thread_net = BRSMN(NetworkConfig(pn, engine="fast", workers=4))
-    proc_net = BRSMN(
-        NetworkConfig(pn, engine="fast", workers=4, executor="process")
-    )
-    thread_obj = timing_stats(
-        lambda: thread_net.route_batch(pa, omat), k=5, warmup=2
-    )
-    proc_obj = timing_stats(
-        lambda: proc_net.route_batch(pa, omat), k=5, warmup=2
-    )
-    thread_net.close()
-    proc_net.close()
-    obj_speedup = thread_obj["min_s"] / max(proc_obj["min_s"], 1e-9)
-    process["object_dtype_4w"] = {
-        "thread_batch_ms": round(thread_obj["min_s"] * 1e3, 4),
-        "process_batch_ms": round(proc_obj["min_s"] * 1e3, 4),
-        "process_speedup_vs_threads": round(obj_speedup, 2),
-    }
-    if (os.cpu_count() or 1) >= 4:
-        assert obj_speedup >= 1.5, (
-            f"process executor only {obj_speedup:.2f}x vs threads on "
-            "object-dtype payloads at 4 workers (need >= 1.5x on a "
-            ">= 4-core host)"
-        )
-    results["process"] = process
-
     # -- cluster tier: K replicas behind plan-affinity placement.  The
     # rendezvous hash and lifecycle bookkeeping are per-frame overhead
     # on top of one fabric, so warm frames/s is measured per replica
@@ -455,33 +376,6 @@ def test_end_to_end_speedup(write_artifact, benchmark):
             th=parallel["cold_single_flight"]["threads"],
             cp=parallel["cold_single_flight"]["compiles"],
             co=parallel["cold_single_flight"]["coalesced"],
-        )
-        + "\n\nProcess executor (n = {n}, {f} int64 frames/batch, "
-          "shared-memory transport):\n".format(n=pn, f=pframes)
-        + format_table(
-            ["workers", "warm ms (min/p50/p95)", "warm frames/s",
-             "cold ms (min/p50/p95)", "cold frames/s"],
-            [
-                [
-                    w["workers"],
-                    "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["warm_batch_ms"], w["warm_p50_ms"], w["warm_p95_ms"]
-                    ),
-                    f"{w['warm_frames_per_s']:.0f}",
-                    "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["cold_batch_ms"], w["cold_p50_ms"], w["cold_p95_ms"]
-                    ),
-                    f"{w['cold_frames_per_s']:.0f}",
-                ]
-                for w in process["workers"]
-            ],
-        )
-        + "\n  object-dtype batch, 4 workers: threads {t:.2f} ms vs "
-          "processes {p:.2f} ms ({x:.2f}x)\n"
-          "  (>= 1.5x acceptance asserted only on >= 4-core hosts)".format(
-            t=process["object_dtype_4w"]["thread_batch_ms"],
-            p=process["object_dtype_4w"]["process_batch_ms"],
-            x=process["object_dtype_4w"]["process_speedup_vs_threads"],
         )
         + "\n\nCluster tier (n = {n}, {f} frames/campaign, {d} distinct "
           "plans, rendezvous placement):\n".format(

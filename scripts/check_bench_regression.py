@@ -18,13 +18,6 @@ Run from the repository root::
 
     PYTHONPATH=src python scripts/check_bench_regression.py
 
-``--executor process`` gates the multiprocess executor the same way,
-against the committed ``process`` section's 2-worker row (2 workers,
-not 4, so the gate prices the shared-memory/envelope machinery rather
-than the runner's core count)::
-
-    PYTHONPATH=src python scripts/check_bench_regression.py --executor process
-
 ``--cluster`` gates the cluster tier the same way, against the
 committed ``cluster`` section's 1-replica row (1 replica, so the gate
 prices the per-frame placement and lifecycle overhead the cluster adds
@@ -89,10 +82,7 @@ def committed_frames_per_s(
 ) -> float:
     """The committed warm frames/s for one bench row, or exit 2 if absent.
 
-    The default row is the thread path's single-worker number; the
-    ``--executor process`` gate reads the ``process`` section's
-    2-worker row instead (2, not 4, so the gate measures the executor's
-    IPC machinery rather than the runner's core count), and the
+    The default row is the single-worker batch number; the
     ``--cluster`` gate reads the ``cluster`` section's 1-replica row
     (1, not 4, so the gate prices the placement/lifecycle overhead
     rather than how the runner schedules K fabrics).
@@ -140,16 +130,12 @@ def measure_compile_ms(n: int = 1024, k: int = 40, warmup: int = 2) -> float:
     )
 
 
-def measure_frames_per_s(
-    k: int = 7, warmup: int = 2, workers: int = 1, executor: str = "thread"
-) -> float:
+def measure_frames_per_s(k: int = 7, warmup: int = 2) -> float:
     """Warm min-of-k frames/s, same shape as the bench's parallel section."""
     n, frames = 1024, 64
     assignment = random_multicast(n, load=1.0, seed=n)
     matrix = np.arange(frames * n, dtype=np.int64).reshape(frames, n)
-    net = BRSMN(
-        NetworkConfig(n, engine="fast", workers=workers, executor=executor)
-    )
+    net = BRSMN(NetworkConfig(n, engine="fast"))
     try:
         for _ in range(warmup):
             net.route_batch(assignment, matrix)
@@ -257,18 +243,10 @@ def main(argv=None) -> int:
         "--compile, the tolerated fractional slow-down",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="which executor's committed throughput row to gate: "
-        "'thread' gates the single-worker row, 'process' the process "
-        "section's 2-worker row",
-    )
-    parser.add_argument(
         "--cluster",
         action="store_true",
         help="gate the cluster section's 1-replica warm frames/s row "
-        "instead of a raw executor row",
+        "instead of the single-worker batch row",
     )
     parser.add_argument(
         "--compile",
@@ -343,12 +321,6 @@ def main(argv=None) -> int:
         )
         measured = measure_cluster_frames_per_s()
         label = "cluster (1-replica) warm campaign throughput"
-    elif args.executor == "process":
-        committed = committed_frames_per_s(
-            args.json, section="process", workers=2
-        )
-        measured = measure_frames_per_s(workers=2, executor="process")
-        label = "process-executor (2-worker) batch throughput"
     else:
         committed = committed_frames_per_s(args.json)
         measured = measure_frames_per_s()

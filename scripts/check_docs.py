@@ -8,8 +8,8 @@ Two independent checks, both over committed markdown:
   ``mailto`` links and pure ``#anchor`` self-references are skipped;
   fragments on relative links are stripped before the existence check).
 * ``run_examples`` — every fenced ``python`` block of the executable
-  pages (``docs/usage.md``, ``docs/performance.md``, ``docs/faq.md``,
-  ``docs/executors.md``) is executed in its own namespace, so no page
+  pages (``docs/usage.md``, ``docs/performance.md``, ``docs/faq.md``)
+  is executed in its own namespace, so no page
   can drift from the API it documents.  Requires ``PYTHONPATH=src``
   (or an installed package).
 
@@ -63,7 +63,7 @@ def check_links() -> List[str]:
 # Pages whose python blocks are executed verbatim.  A page belongs
 # here unless its blocks are deliberately non-runnable (none are
 # today); new executable pages must be added or their examples rot.
-EXECUTABLE_PAGES = ("usage.md", "performance.md", "faq.md", "executors.md")
+EXECUTABLE_PAGES = ("usage.md", "performance.md", "faq.md")
 
 
 def run_examples() -> List[str]:

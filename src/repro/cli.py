@@ -6,7 +6,6 @@ Usage (after ``pip install -e .``)::
     python -m repro route --n 8 --example --trace
     python -m repro stats --n 64 --frames 200 --engine fast --metrics-out metrics.json
     python -m repro stats --n 256 --frames 500 --workers 4 --compile-ahead 2
-    python -m repro stats --n 256 --frames 500 --workers 4 --executor process
     python -m repro chaos --n 32 --frames 100 --faults 2 --seed 7
     python -m repro chaos --n 64 --overload --arrival-rate 2.0 --deadline-ms 50
     python -m repro chaos --n 64 --overload --adaptive --seed 7 \\
@@ -53,11 +52,12 @@ Exit codes (the contract scripts and CI rely on):
 * ``1`` — verification or reproduction failure (``route``, ``report``).
 * ``2`` — usage or I/O error (bad arguments, unreadable input,
   unwritable output path).
-* ``3`` — degraded ``chaos`` campaign: terminals were lost (or
-  requests abandoned under ``--overload``) after the retry budget.
-  The campaign itself ran to completion — distinguish this from
-  ``2``, which means it never ran.  Deliberately *shed* requests do
-  not trigger ``3``: shedding is the admission gate doing its job.
+* ``3`` — degraded ``chaos`` or ``cluster`` campaign: terminals were
+  lost (or requests abandoned under ``--overload``) after the retry
+  budget, or the accounting is incomplete.  The campaign itself ran
+  to completion — distinguish this from ``2``, which means it never
+  ran.  Deliberately *shed* requests do not trigger ``3``: shedding
+  is the admission gate doing its job.
 """
 
 from __future__ import annotations
@@ -181,14 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool size for the fast engine (1 = single-threaded)",
     )
     p_stats.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="sharding backend for --workers > 1: thread (zero-copy "
-        "views, default) or process (shared-memory shards that scale "
-        "CPython-bound routing past one core)",
-    )
-    p_stats.add_argument(
         "--compile-ahead",
         type=int,
         default=0,
@@ -250,64 +242,57 @@ def build_parser() -> argparse.ArgumentParser:
         "the queueing simulator with admission control and deadlines "
         "(--frames then sets the arrival horizon in slots)",
     )
+    # Overload-only flags parse to None so plain chaos can reject them;
+    # their defaults live in _OVERLOAD_DEFAULTS.
     p_chaos.add_argument(
         "--arrival-rate",
         type=float,
-        default=2.0,
-        help="overload: mean arrivals per slot (capacity is ~1 frame/slot)",
+        help="overload: mean arrivals per slot (capacity is ~1 "
+        "frame/slot; default 2.0)",
     )
     p_chaos.add_argument(
         "--deadline-ms",
         type=float,
-        default=None,
-        help="per-slot healing deadline in milliseconds (default: none)",
+        help="overload: per-slot healing deadline in milliseconds "
+        "(default: none)",
     )
     p_chaos.add_argument(
         "--admit-rate",
         type=float,
-        default=1.5,
-        help="overload: admission token refill per slot",
+        help="overload: admission token refill per slot (default 1.5)",
     )
     p_chaos.add_argument(
         "--admit-burst",
         type=float,
-        default=8.0,
-        help="overload: admission token bucket capacity",
+        help="overload: admission token bucket capacity (default 8.0)",
     )
     p_chaos.add_argument(
         "--soft-watermark",
         type=float,
-        default=16.0,
-        help="overload: backlog depth shedding priority<=0 requests",
+        help="overload: backlog depth shedding priority<=0 requests "
+        "(default 16.0)",
     )
     p_chaos.add_argument(
         "--hard-watermark",
         type=float,
-        default=32.0,
-        help="overload: backlog depth shedding every request",
+        help="overload: backlog depth shedding every request "
+        "(default 32.0)",
     )
     p_chaos.add_argument(
         "--high-priority",
         type=float,
-        default=0.25,
-        help="overload: fraction of arrivals carrying priority 1",
+        help="overload: fraction of arrivals carrying priority 1 "
+        "(default 0.25)",
     )
     p_chaos.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="overload: worker-pool size for the fast engine",
-    )
-    p_chaos.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="overload: sharding backend for --workers > 1 (thread or "
-        "process; see docs/executors.md)",
+        help="overload: worker-pool size for the fast engine (default 1)",
     )
     p_chaos.add_argument(
         "--adaptive",
         action="store_true",
+        default=None,
         help="overload: run the closed-loop control plane (AIMD "
         "admission rate, priority reserve, worker target) over the "
         "campaign instead of the static gate policy",
@@ -315,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--control-log",
         type=str,
-        default=None,
         help="overload: write the control plane's decision log as JSON "
         "to this file (requires --adaptive)",
     )
@@ -323,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-out",
         type=str,
         default=None,
-        help="overload: write the campaign summary (goodput, "
-        "per-priority sheds, losses) as JSON to this file",
+        help="write the campaign summary (terminal outcomes; under "
+        "--overload goodput, per-priority sheds, losses) as JSON to "
+        "this file",
     )
 
     p_cluster = sub.add_parser(
@@ -542,16 +527,12 @@ def _cmd_stats(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.executor == "process" and args.engine != "fast":
-        print("--executor process requires --engine fast", file=sys.stderr)
-        return 2
     metrics = MetricsObserver()
     tracing = TracingObserver()
     cfg = NetworkConfig(
         args.n,
         engine=args.engine,
         workers=args.workers,
-        executor=args.executor,
         compile_ahead=args.compile_ahead,
         observer=CompositeObserver(metrics, tracing),
     )
@@ -579,7 +560,7 @@ def _cmd_stats(args) -> int:
         cache = fabric.network.plan_cache
         pipeline = fabric.network.pipeline
         line = (
-            f"parallel: {args.workers} workers ({args.executor}), "
+            f"parallel: {args.workers} workers, "
             f"{getattr(cache, 'coalesced', 0)} coalesced compiles"
         )
         if pipeline is not None:
@@ -621,6 +602,28 @@ def _export_metrics(args, metrics) -> int:
     return 0
 
 
+def _finish_campaign(args, metrics, summary, failed) -> int:
+    """The shared ending of every campaign command.
+
+    Writes ``--summary-out`` (exit 2 on a write error), exports the
+    metrics, then exits 3 when ``failed`` (frames lost or accounting
+    incomplete) and 0 otherwise.
+    """
+    if args.summary_out is not None:
+        err = _write_text(
+            args.summary_out,
+            json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        )
+        if err is not None:
+            print(err, file=sys.stderr)
+            return 2
+        print(f"campaign summary written to {args.summary_out}")
+    rc = _export_metrics(args, metrics)
+    if rc == 0 and failed:
+        return 3
+    return rc
+
+
 def _profile_rows(tracing) -> list:
     """Aggregate a tracing observer's level spans into table rows."""
     agg = {}
@@ -658,6 +661,22 @@ def _profile_rows(tracing) -> list:
     return rows
 
 
+#: ``chaos`` flags only the ``--overload`` campaign reads, with their
+#: defaults.  They parse to ``None`` so plain ``chaos`` can reject them.
+_OVERLOAD_DEFAULTS = {
+    "arrival_rate": 2.0,
+    "deadline_ms": None,
+    "admit_rate": 1.5,
+    "admit_burst": 8.0,
+    "soft_watermark": 16.0,
+    "hard_watermark": 32.0,
+    "high_priority": 0.25,
+    "workers": 1,
+    "adaptive": False,
+    "control_log": None,
+}
+
+
 def _cmd_chaos(args) -> int:
     from .core.fabric import MulticastFabric
     from .faults import FaultPlan, RetryPolicy
@@ -665,7 +684,18 @@ def _cmd_chaos(args) -> int:
     from .workloads.random_assignments import random_multicast
 
     if args.overload:
+        for name, default in _OVERLOAD_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         return _cmd_chaos_overload(args)
+    given = [
+        "--" + name.replace("_", "-")
+        for name in _OVERLOAD_DEFAULTS
+        if getattr(args, name) is not None
+    ]
+    if given:
+        print(f"{', '.join(given)} require --overload", file=sys.stderr)
+        return 2
     plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
     metrics = MetricsObserver()
     cfg = NetworkConfig(
@@ -725,14 +755,23 @@ def _cmd_chaos(args) -> int:
         f"terminals: {delivered} delivered, {recovered} recovered, "
         f"{lost} lost"
     )
-    print(
-        f"plane: {stats.quarantines} quarantines, "
-        f"final state {fabric.health.state.value}"
-    )
-    rc = _export_metrics(args, metrics)
-    if rc == 0 and lost > 0:
-        return 3
-    return rc
+    # --faults 0 builds no health tracker: the plane never leaves healthy.
+    state = "healthy" if fabric.health is None else fabric.health.state.value
+    print(f"plane: {stats.quarantines} quarantines, final state {state}")
+    summary = {
+        "n": args.n,
+        "seed": args.seed,
+        "faults": args.faults,
+        "frames": stats.frames,
+        "degraded_frames": stats.degraded_frames,
+        "lost_frames": stats.lost_frames,
+        "standby_frames": stats.standby_frames,
+        "delivered": delivered,
+        "recovered": recovered,
+        "lost": lost,
+        "quarantines": stats.quarantines,
+    }
+    return _finish_campaign(args, metrics, summary, lost > 0)
 
 
 def _cmd_chaos_overload(args) -> int:
@@ -756,9 +795,6 @@ def _cmd_chaos_overload(args) -> int:
         return 2
     if args.workers > 1 and args.engine != "fast":
         print("--workers requires --engine fast", file=sys.stderr)
-        return 2
-    if args.executor == "process" and args.engine != "fast":
-        print("--executor process requires --engine fast", file=sys.stderr)
         return 2
     metrics = MetricsObserver()
     try:
@@ -786,7 +822,6 @@ def _cmd_chaos_overload(args) -> int:
             args.n,
             engine=args.engine,
             workers=args.workers,
-            executor=args.executor,
             fault_plan=plan,
             observer=metrics,
             admission=admission,
@@ -873,39 +908,27 @@ def _cmd_chaos_overload(args) -> int:
                 )
                 return 2
             print(f"control decision log written to {args.control_log}")
-    if args.summary_out is not None:
-        summary = {
-            "n": args.n,
-            "seed": args.seed,
-            "adaptive": args.adaptive,
-            "arrival_rate": args.arrival_rate,
-            "generated": generated,
-            "goodput": report.served,
-            "delivered": delivered,
-            "recovered": report.recovered,
-            "shed": report.shed,
-            "shed_high": shed_high,
-            "shed_low": shed_low,
-            "lost": lost,
-            "slots_run": report.slots_run,
-            "decisions": (
-                len(sim.control.decision_log())
-                if sim.control is not None
-                else 0
-            ),
-        }
-        err = _write_text(
-            args.summary_out,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
-        if err is not None:
-            print(err, file=sys.stderr)
-            return 2
-        print(f"campaign summary written to {args.summary_out}")
-    rc = _export_metrics(args, metrics)
-    if rc == 0 and (lost > 0 or accounted != generated):
-        return 3
-    return rc
+    summary = {
+        "n": args.n,
+        "seed": args.seed,
+        "adaptive": args.adaptive,
+        "arrival_rate": args.arrival_rate,
+        "generated": generated,
+        "goodput": report.served,
+        "delivered": delivered,
+        "recovered": report.recovered,
+        "shed": report.shed,
+        "shed_high": shed_high,
+        "shed_low": shed_low,
+        "lost": lost,
+        "slots_run": report.slots_run,
+        "decisions": (
+            len(sim.control.decision_log()) if sim.control is not None else 0
+        ),
+    }
+    return _finish_campaign(
+        args, metrics, summary, lost > 0 or accounted != generated
+    )
 
 
 def _cmd_cluster(args) -> int:
@@ -1038,21 +1061,12 @@ def _cmd_cluster(args) -> int:
         f"accounting: {accounted}/{generated} frames accounted "
         f"({'complete' if accounted == generated else 'INCOMPLETE'})"
     )
-    if args.summary_out is not None:
-        summary["seed"] = args.seed
-        summary["generated"] = generated
-        err = _write_text(
-            args.summary_out,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
-        if err is not None:
-            print(err, file=sys.stderr)
-            return 2
-        print(f"campaign summary written to {args.summary_out}")
-    rc = _export_metrics(args, metrics)
-    if rc == 0 and (stats.lost_frames > 0 or accounted != generated):
-        return 3
-    return rc
+    summary["seed"] = args.seed
+    summary["generated"] = generated
+    return _finish_campaign(
+        args, metrics, summary,
+        stats.lost_frames > 0 or accounted != generated,
+    )
 
 
 def _cmd_tags(args) -> int:

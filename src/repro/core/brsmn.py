@@ -453,12 +453,10 @@ class BRSMN:
             self.fault_plan = None
             self._injector = None
         self.workers = cfg.workers
-        self.executor = cfg.executor
         self.compile_ahead = cfg.compile_ahead
         self.pool = None
         self.pipeline = None
         self._sharded = None
-        self._proc_pool = None
         parallel = cfg.engine == "fast" and (
             cfg.workers > 1 or cfg.compile_ahead > 0
         )
@@ -481,25 +479,9 @@ class BRSMN:
                 )
                 self.pool = WorkerPool(cfg.workers, observer=cfg.observer)
                 if cfg.workers > 1:
-                    if cfg.executor == "process":
-                        from ..parallel.process import (
-                            ProcessShardRouter,
-                            ProcessWorkerPool,
-                        )
-
-                        # The thread pool stays for compile-ahead (plan
-                        # compilation needs the parent's cache anyway);
-                        # only payload sharding crosses into processes.
-                        self._proc_pool = ProcessWorkerPool(
-                            cfg.workers, observer=cfg.observer
-                        )
-                        self._sharded = ProcessShardRouter(
-                            self._proc_pool, observer=cfg.observer
-                        )
-                    else:
-                        self._sharded = ShardedBatchRouter(
-                            self.pool, observer=cfg.observer
-                        )
+                    self._sharded = ShardedBatchRouter(
+                        self.pool, observer=cfg.observer
+                    )
                 if cfg.compile_ahead > 0:
                     from .fastplan import compile_frame_plan  # deferred
 
@@ -817,25 +799,20 @@ class BRSMN:
         return self.pipeline.prefetch(assignment)
 
     def close(self) -> None:
-        """Drain pending prefetches and stop the worker pools.
+        """Drain pending prefetches and stop the worker pool.
 
         Idempotent, and a no-op on non-parallel configurations; a later
         routing call restarts the pools transparently, so ``close`` is
         a courtesy for prompt teardown, not a lifecycle obligation.
-        Both shutdowns run in ``finally`` clauses so a raising pipeline
-        drain can never leak executor threads — or, with
-        ``executor="process"``, worker processes.
+        The shutdown runs in a ``finally`` clause so a raising pipeline
+        drain can never leak executor threads.
         """
         try:
             if self.pipeline is not None:
                 self.pipeline.drain()
         finally:
-            try:
-                if self.pool is not None:
-                    self.pool.shutdown()
-            finally:
-                if self._proc_pool is not None:
-                    self._proc_pool.shutdown()
+            if self.pool is not None:
+                self.pool.shutdown()
 
     def route_batch(
         self,

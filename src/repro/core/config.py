@@ -36,7 +36,6 @@ __all__ = ["NetworkConfig"]
 
 IMPLEMENTATIONS = ("unrolled", "feedback")
 ENGINES = ("reference", "fast")
-EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,6 @@ class NetworkConfig:
             memoises plans in a thread-safe
             :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
             with single-flight compile deduplication.
-        executor: fast engine — backend the sharded batch router runs
-            on when ``workers > 1``.  ``"thread"`` (the default) shards
-            on a :class:`~repro.parallel.workers.WorkerPool` of threads
-            with zero-copy views; ``"process"`` shards on a
-            :class:`~repro.parallel.process.ProcessShardRouter` pool of
-            worker *processes* — numeric payload matrices travel
-            through ``multiprocessing.shared_memory`` and object-dtype
-            batches as pickled chunks, so CPython-bound routing scales
-            past one core.  See ``docs/executors.md`` for the decision
-            table and the determinism/crash contract (identical for
-            both backends).
         compile_ahead: fast engine — depth of the
             :class:`~repro.parallel.pipeline.CompileAheadPipeline`
             prefetch queue (0 disables it).  Session facades with
@@ -124,7 +112,6 @@ class NetworkConfig:
     engine: str = "reference"
     plan_cache_size: int = 256
     workers: int = 1
-    executor: str = "thread"
     compile_ahead: int = 0
     observer: Optional[object] = field(default=None, compare=False)
     fault_plan: Optional[object] = None
@@ -165,17 +152,6 @@ class NetworkConfig:
                 "workers > 1 / compile_ahead > 0 require engine='fast' "
                 "(the reference engine is a per-switch teaching "
                 "simulation; parallelising it would only obscure it)"
-            )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r} "
-                f"(expected one of {EXECUTORS})"
-            )
-        if self.executor == "process" and self.engine != "fast":
-            raise ValueError(
-                "executor='process' requires engine='fast' (only "
-                "compiled routing plans travel pickle-safely to worker "
-                "processes; the reference engine stays in-process)"
             )
         if self.fault_plan is not None:
             # Duck-typed on purpose: importing repro.faults here would

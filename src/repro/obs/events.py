@@ -78,12 +78,8 @@ class Event:
     prefetch: ``task`` (``"shard"`` / ``"compile"``), then ``workers``,
     ``busy`` and ``queue_depth`` after the event.
 
-    ``parallel.shard`` and ``parallel.process`` — ``shard_requeued`` /
-    ``shard_inline``: ``frames`` of the recovered shard.
-    ``parallel.process`` also has ``start`` / ``done`` (``task``:
-    ``"shard_shm"`` / ``"shard_pickled"``), ``envelope`` (``shipment``:
-    ``"full"`` / ``"slim"`` / ``"miss"``), ``shm`` (``bytes``) and
-    ``respawn``, all carrying ``workers`` and ``busy``.
+    ``parallel.shard`` — ``shard_requeued`` / ``shard_inline``:
+    ``frames`` of the recovered shard.
 
     ``resilience.gate`` — ``admitted`` / ``shed``: ``priority``,
     ``tokens`` (bucket level after the decision, -1 when unlimited),

@@ -98,7 +98,6 @@ _QUEUE = _on("arrivals", "queue_depth")
 _POOL = _on("parallel.workers", "start", "done") + _on(
     "parallel.pipeline", "enqueue", "drop"
 )
-_PROC = _on("parallel.process", "start", "done", "respawn", "envelope", "shm")
 _HEAL = "faults.healing"
 _GATE = "resilience.gate"
 _BREAKER = _on("resilience.breaker", *_BREAKER_STATES)
@@ -166,31 +165,6 @@ FAMILIES: Tuple[Family, ...] = (
            "Plan-cache misses coalesced onto an in-flight compile "
            "(single-flight deduplication).",
            _on("fastplan.plan_cache", "coalesced")),
-    Family("repro_parallel_proc_tasks_total", "counter",
-           "Process-pool shard tasks completed, by payload path "
-           "(shard_shm / shard_pickled).",
-           _on("parallel.process", "done"), 1, ("kind",),
-           sources={"kind": "task"}),
-    Family("repro_parallel_proc_workers", "gauge",
-           "Configured process-pool size.",
-           _PROC, "workers"),
-    Family("repro_parallel_proc_busy", "gauge",
-           "Process-pool shard tasks in flight after the last sample.",
-           _PROC, "busy"),
-    Family("repro_parallel_proc_respawns_total", "counter",
-           "Process pools recreated after a worker process died "
-           "(a crash poisons the whole executor).",
-           _on("parallel.process", "respawn")),
-    Family("repro_parallel_proc_envelopes_total", "counter",
-           "Plan envelopes shipped to worker processes, by kind "
-           "(full / slim / miss, where miss counts slim shipments "
-           "that missed the worker's local plan cache).",
-           _on("parallel.process", "envelope"), 1, ("kind",),
-           sources={"kind": "shipment"}),
-    Family("repro_parallel_proc_shm_bytes_total", "counter",
-           "Bytes placed in shared-memory segments for zero-copy "
-           "payload shards (input + output, per batch).",
-           _on("parallel.process", "shm"), "bytes"),
     Family("repro_faults_injected_total", "counter",
            "Fault activations that touched in-flight traffic, by kind.",
            _on("brsmn", "injected"), 1, ("kind",), sources={"kind": "fault"}),
@@ -233,12 +207,10 @@ FAMILIES: Tuple[Family, ...] = (
            _on("resilience.breaker", "short_circuit")),
     Family("repro_resilience_shard_requeues_total", "counter",
            "Crashed batch shards resubmitted to the worker pool.",
-           _on("parallel.shard", "shard_requeued")
-           + _on("parallel.process", "shard_requeued")),
+           _on("parallel.shard", "shard_requeued")),
     Family("repro_resilience_shard_inline_total", "counter",
            "Batch shards recovered inline on the submitting thread.",
-           _on("parallel.shard", "shard_inline")
-           + _on("parallel.process", "shard_inline")),
+           _on("parallel.shard", "shard_inline")),
     Family("repro_resilience_snapshot_total", "counter",
            "Warm-restart snapshots taken/restored, by action.",
            _on("resilience.snapshot", "snapshot_saved", "snapshot_restored"),

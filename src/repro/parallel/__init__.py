@@ -25,41 +25,32 @@ subpackage scales that service across a worker pool:
   already-compiled frames: a bounded prefetch queue fed by
   :meth:`~repro.core.fabric.MulticastFabric.run` lookahead (and the
   queueing simulator's next-slot packing) warms the cache on pool
-  threads while the submitting thread routes;
-* :class:`~repro.parallel.process.ProcessShardRouter` /
-  :class:`~repro.parallel.process.ProcessWorkerPool` — the
-  ``executor="process"`` backend: the same deterministic sharding
-  across worker *processes*, numeric payloads in
-  ``multiprocessing.shared_memory``, compiled plans shipped as
-  pickle-safe :class:`~repro.parallel.process.PlanEnvelope` objects
-  with a worker-local cache — the path past the GIL for object-dtype
-  batches and CPython-bound stages.
+  threads while the submitting thread routes.
+
+Threads are the only sharding backend.  Once a plan is compiled a
+frame is one gather, and ``np.take`` on numeric dtypes releases the
+GIL, so there is no CPython-bound routing work for worker processes
+to spread across cores.
 
 Everything is configured through
 :class:`~repro.core.config.NetworkConfig` — ``workers=`` sizes the
-pool, ``executor=`` picks threads or processes, ``compile_ahead=``
-bounds the prefetch queue — and threaded through
-:class:`~repro.core.brsmn.BRSMN`,
+pool, ``compile_ahead=`` bounds the prefetch queue — and threaded
+through :class:`~repro.core.brsmn.BRSMN`,
 :class:`~repro.core.fabric.MulticastFabric`,
 :class:`~repro.core.arrivals.QueueingSimulator` and the
-``repro stats --workers N [--executor process]`` CLI.  See
-``docs/performance.md`` for tuning guidance (including why the NumPy
-gather kernels scale across *threads* despite the GIL) and
-``docs/executors.md`` for the thread-vs-process decision table.
+``repro stats --workers N`` CLI.  See ``docs/performance.md`` for
+tuning guidance (including why the NumPy gather kernels scale across
+threads despite the GIL) and for the crash and determinism contract.
 """
 
 from .plan_cache import ConcurrentPlanCache
 from .pipeline import CompileAheadPipeline
-from .process import PlanEnvelope, ProcessShardRouter, ProcessWorkerPool
 from .shard import ShardedBatchRouter, shard_bounds
 from .workers import WorkerPool
 
 __all__ = [
     "CompileAheadPipeline",
     "ConcurrentPlanCache",
-    "PlanEnvelope",
-    "ProcessShardRouter",
-    "ProcessWorkerPool",
     "ShardedBatchRouter",
     "WorkerPool",
     "shard_bounds",

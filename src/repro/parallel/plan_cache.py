@@ -25,6 +25,7 @@ event for piggybacked lookups.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -41,8 +42,8 @@ class _Stripe:
     """One independent cache segment: mutex, LRU map, in-flight table."""
 
     __slots__ = (
-        "lock", "plans", "assignments", "inflight", "hits", "misses",
-        "coalesced",
+        "lock", "plans", "assignments", "used", "inflight", "hits",
+        "misses", "coalesced",
     )
 
     def __init__(self):
@@ -51,6 +52,9 @@ class _Stripe:
         # Source assignment per cached key, for warm-restart snapshots
         # (fingerprints alone cannot rebuild a plan).
         self.assignments: Dict[str, MulticastAssignment] = {}
+        # Cache-wide recency stamp per cached key, so a snapshot lists
+        # entries in global LRU order, as PlanCache does.
+        self.used: Dict[str, int] = {}
         self.inflight: Dict[str, Future] = {}
         self.hits = 0
         self.misses = 0
@@ -100,6 +104,7 @@ class ConcurrentPlanCache:
             _Stripe() for _ in range(min(stripes, maxsize))
         )
         self._quota = -(-maxsize // len(self._stripes))  # ceil division
+        self._clock = itertools.count()
 
     # -- bookkeeping ----------------------------------------------------
     def _stripe(self, key: str) -> _Stripe:
@@ -179,6 +184,7 @@ class ConcurrentPlanCache:
             if plan is not None:
                 stripe.hits += 1
                 stripe.plans.move_to_end(key)
+                stripe.used[key] = next(self._clock)
                 kind = "hit"
                 future = None
                 leader = False
@@ -211,10 +217,12 @@ class ConcurrentPlanCache:
         with stripe.lock:
             stripe.plans[key] = plan
             stripe.assignments[key] = assignment
+            stripe.used[key] = next(self._clock)
             stripe.inflight.pop(key, None)
             while len(stripe.plans) > self._quota:
                 old, _ = stripe.plans.popitem(last=False)
                 stripe.assignments.pop(old, None)
+                stripe.used.pop(old, None)
                 evicted.append((old, self._size()))
         future.set_result(plan)
         for old, size in evicted:
@@ -223,18 +231,21 @@ class ConcurrentPlanCache:
         return plan, False
 
     def snapshot_assignments(self) -> List[MulticastAssignment]:
-        """The cached entries' source assignments, stripe by stripe in
-        each stripe's LRU order — the payload of a warm-restart
-        snapshot (:class:`~repro.resilience.snapshot.FabricSnapshot`)."""
-        assignments: List[MulticastAssignment] = []
+        """The cached entries' source assignments, LRU order across all
+        stripes (oldest first, as in
+        :meth:`~repro.core.fastplan.PlanCache.snapshot_assignments`) —
+        the payload of a warm-restart snapshot
+        (:class:`~repro.resilience.snapshot.FabricSnapshot`)."""
+        entries: List[Tuple[int, MulticastAssignment]] = []
         for stripe in self._stripes:
             with stripe.lock:
-                assignments.extend(
-                    stripe.assignments[key]
+                entries.extend(
+                    (stripe.used[key], stripe.assignments[key])
                     for key in stripe.plans
                     if key in stripe.assignments
                 )
-        return assignments
+        entries.sort(key=lambda entry: entry[0])
+        return [assignment for _, assignment in entries]
 
     def clear(self) -> None:
         """Drop every cached plan and reset the counters.
@@ -248,6 +259,7 @@ class ConcurrentPlanCache:
             with stripe.lock:
                 stripe.plans.clear()
                 stripe.assignments.clear()
+                stripe.used.clear()
                 stripe.hits = 0
                 stripe.misses = 0
                 stripe.coalesced = 0

@@ -6,11 +6,8 @@ default vehicle because the fast engine's hot loops are NumPy gather
 kernels, and ``np.take`` on numeric dtypes releases the GIL for the
 duration of the copy, so shards genuinely overlap on multicore hosts
 while plans, payload views and the output matrix are shared zero-copy.
-Workloads the GIL *does* serialise — object-dtype payloads, healing
-verify loops — scale through the process twin instead
-(``NetworkConfig(executor="process")``,
-:class:`~repro.parallel.process.ProcessWorkerPool`); see
-``docs/executors.md`` for the decision table.
+Object-dtype payloads do hold the GIL; see ``docs/performance.md`` for
+when more workers stop paying.
 
 Every task emits a pair of ``parallel.workers`` events (``start`` /
 ``done``) carrying the pool size, the busy-worker

@@ -133,6 +133,65 @@ class TestChaosCommand:
         assert "repro_faults_injected_total" in names
         assert "repro_faults_recovered_terminals_total" in names
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--deadline-ms", "50"],
+            ["--workers", "2"],
+            ["--adaptive"],
+            ["--control-log", "log.json"],
+            ["--arrival-rate", "3.0"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_overload_only_flags_need_overload(self, flag, capsys):
+        rc = main(["chaos", "--n", "8", "--frames", "4", *flag])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{flag[0]} require --overload" in captured.err
+        assert captured.out == ""
+
+
+_CAMPAIGNS = {
+    "chaos": ["chaos"],
+    "overload": ["chaos", "--overload"],
+    "cluster": ["cluster"],
+}
+
+
+class TestCampaignExitContract:
+    """Every campaign command ends the same way: summary, metrics, then
+    0 (clean), 2 (an output cannot be written) or 3 (frames lost)."""
+
+    @pytest.mark.parametrize("command", sorted(_CAMPAIGNS))
+    @pytest.mark.parametrize(
+        "faults,unwritable,expected",
+        [(0, False, 0), (0, True, 2), (2, False, 3)],
+        ids=["clean", "unwritable", "lossy"],
+    )
+    def test_exit_code(
+        self, command, faults, unwritable, expected, tmp_path, capsys
+    ):
+        (tmp_path / "blocker").write_text("")
+        parent = tmp_path / ("blocker" if unwritable else "out")
+        summary_path = parent / "summary.json"
+        metrics_path = tmp_path / "out" / "metrics.json"
+        rc = main(
+            _CAMPAIGNS[command]
+            + ["--n", "16", "--frames", "8", "--faults", str(faults),
+               "--summary-out", str(summary_path),
+               "--metrics-out", str(metrics_path)]
+        )
+        assert rc == expected
+        captured = capsys.readouterr()
+        if unwritable:
+            assert captured.err.startswith(f"cannot write {summary_path}")
+            assert not metrics_path.exists()
+        else:
+            summary = json.loads(summary_path.read_text())
+            assert summary["n"] == 16
+            assert json.loads(metrics_path.read_text())["metrics"]
+
 
 class TestMetricsOutPaths:
     def test_stats_creates_parent_directories(self, tmp_path, capsys):

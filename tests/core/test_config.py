@@ -1,14 +1,17 @@
 """NetworkConfig: validation, construction, derive(), and the removed
 legacy keyword surface."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.brsmn import BRSMN
-from repro.core.config import EXECUTORS, IMPLEMENTATIONS, ENGINES, NetworkConfig
+from repro.core.config import IMPLEMENTATIONS, ENGINES, NetworkConfig
 from repro.core.fabric import MulticastFabric
 from repro.core.feedback import FeedbackBRSMN
 from repro.core.routing import build_network, route_multicast
 from repro.obs import NullSink, TracingObserver
+from repro.parallel import ShardedBatchRouter, WorkerPool
 
 EXAMPLE = {0: [1, 2], 3: [0]}
 
@@ -46,27 +49,21 @@ class TestValidation:
             NetworkConfig(8, plan_cache_size=0)
 
     def test_default_executor_is_thread(self):
-        assert NetworkConfig(8).executor == "thread"
-        assert "thread" in EXECUTORS and "process" in EXECUTORS
+        """Threads are the only sharding backend above one worker."""
+        net = BRSMN(NetworkConfig(8, engine="fast", workers=2))
+        try:
+            assert isinstance(net._sharded, ShardedBatchRouter)
+            assert isinstance(net.pool, WorkerPool)
+        finally:
+            net.close()
 
     def test_bad_executor_rejected(self):
+        """The removed ``executor`` option is an unknown field."""
+        with pytest.raises(TypeError, match="executor"):
+            NetworkConfig(8, executor="thread")
         with pytest.raises(ValueError, match="executor"):
-            NetworkConfig(8, executor="fiber")
-
-    def test_process_executor_requires_fast_engine(self):
-        with pytest.raises(ValueError, match="engine='fast'"):
-            NetworkConfig(8, engine="reference", executor="process")
-
-    def test_process_executor_accepted_on_fast_engine(self):
-        cfg = NetworkConfig(8, engine="fast", workers=2, executor="process")
-        assert cfg.executor == "process"
-
-    def test_derive_can_switch_executor(self):
-        base = NetworkConfig(8, engine="fast", workers=4)
-        tuned = base.derive(executor="process")
-        assert tuned.executor == "process" and tuned.workers == 4
-        with pytest.raises(ValueError):
-            base.derive(engine="reference", executor="process")
+            NetworkConfig(8, engine="fast").derive(executor="thread")
+        assert "executor" not in {f.name for f in fields(NetworkConfig)}
 
     def test_frozen(self):
         cfg = NetworkConfig(8)

@@ -97,18 +97,6 @@ class TestMetricsReference:
         ):
             assert f"`{family}`" in table, family
 
-    def test_process_families_present(self):
-        table = metrics_reference_markdown()
-        for family in (
-            "repro_parallel_proc_tasks_total",
-            "repro_parallel_proc_workers",
-            "repro_parallel_proc_busy",
-            "repro_parallel_proc_respawns_total",
-            "repro_parallel_proc_envelopes_total",
-            "repro_parallel_proc_shm_bytes_total",
-        ):
-            assert f"`{family}`" in table, family
-
     def test_update_requires_markers(self):
         with pytest.raises(ValueError, match="markers"):
             update_generated_section("# no markers here\n")

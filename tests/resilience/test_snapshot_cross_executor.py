@@ -1,11 +1,14 @@
-"""Satellite: snapshots must warm-restore across executor backends.
+"""Snapshots must warm-restore across worker counts.
 
 A snapshot captures *assignments*, not compiled plans, so nothing
-executor-specific should leak into the document — a fleet can snapshot
-under ``executor="thread"`` and warm-restore into ``executor="process"``
-replicas (or back) during a rolling upgrade.  This was untested; these
-pin it, including the constructor's ``snapshot_path`` auto-restore path
-and the health/breaker state transfer.
+backend-specific should leak into the document.  ``workers=1`` caches
+plans in a :class:`~repro.core.fastplan.PlanCache` on the calling
+thread; ``workers=2`` in a
+:class:`~repro.parallel.plan_cache.ConcurrentPlanCache` behind a
+thread pool.  A fleet can snapshot under one and warm-restore into the
+other (or back) during a rolling resize.  These pin it, including the
+constructor's ``snapshot_path`` auto-restore path and the
+health/breaker state transfer.
 """
 
 import random
@@ -24,15 +27,12 @@ from repro.faults.health import PlaneState
 from conftest import make_random_assignment
 
 pytestmark = pytest.mark.parametrize(
-    "src_executor,dst_executor",
-    [("thread", "process"), ("process", "thread")],
+    "src_workers,dst_workers", [(1, 2), (2, 1)]
 )
 
 
-def cfg(executor, **kw):
-    return NetworkConfig(
-        16, engine="fast", workers=2, executor=executor, **kw
-    )
+def cfg(workers, **kw):
+    return NetworkConfig(16, engine="fast", workers=workers, **kw)
 
 
 def frames(count=10, distinct=4, seed=0):
@@ -42,15 +42,15 @@ def frames(count=10, distinct=4, seed=0):
 
 
 class TestCrossExecutorRestore:
-    def test_plan_cache_round_trip(self, src_executor, dst_executor):
-        src = MulticastFabric(cfg(src_executor))
+    def test_plan_cache_round_trip(self, src_workers, dst_workers):
+        src = MulticastFabric(cfg(src_workers))
         for a in frames():
             src.submit(a)
         snap = FabricSnapshot.capture(src)
         src.close()
         assert snap.assignments
 
-        dst = MulticastFabric(cfg(dst_executor))
+        dst = MulticastFabric(cfg(dst_workers))
         warmed = snap.restore(dst)
         assert warmed == len(snap.assignments)
         for a in frames():
@@ -60,51 +60,51 @@ class TestCrossExecutorRestore:
         dst.close()
 
     def test_snapshot_path_auto_restore(
-        self, src_executor, dst_executor, tmp_path
+        self, src_workers, dst_workers, tmp_path
     ):
-        """close() persists under one executor; the constructor warm
-        restores under the other."""
+        """close() persists under one worker count; the constructor
+        warm restores under the other."""
         path = str(tmp_path / "snap.json")
-        src = MulticastFabric(cfg(src_executor, snapshot_path=path))
+        src = MulticastFabric(cfg(src_workers, snapshot_path=path))
         for a in frames():
             src.submit(a)
         src.close()
 
-        dst = MulticastFabric(cfg(dst_executor, snapshot_path=path))
+        dst = MulticastFabric(cfg(dst_workers, snapshot_path=path))
         for a in frames():
             dst.submit(a)
         assert dst.stats.plan_cache_misses == 0
         dst.close()
 
     def test_health_and_breaker_state_transfer(
-        self, src_executor, dst_executor
+        self, src_workers, dst_workers
     ):
         plan = FaultPlan.random(
             16, faults=2, seed=5, kinds=[FaultKind.STUCK_AT]
         )
         breaker = BreakerPolicy(failure_threshold=2, open_frames=50)
         src = MulticastFabric(
-            cfg(src_executor, fault_plan=plan, breaker=breaker)
+            cfg(src_workers, fault_plan=plan, breaker=breaker)
         )
         src.health.quarantine()
         snap = FabricSnapshot.capture(src)
         src.close()
 
         dst = MulticastFabric(
-            cfg(dst_executor, fault_plan=plan, breaker=breaker)
+            cfg(dst_workers, fault_plan=plan, breaker=breaker)
         )
         snap.restore(dst)
         assert dst.health.state is PlaneState.QUARANTINED
         dst.close()
 
     def test_document_is_executor_agnostic(
-        self, src_executor, dst_executor
+        self, src_workers, dst_workers
     ):
-        """The serialized document from either executor is identical:
-        nothing backend-specific may leak into the format."""
+        """The serialized document from either worker count is
+        identical: nothing backend-specific may leak into the format."""
         fabrics = [
-            MulticastFabric(cfg(src_executor)),
-            MulticastFabric(cfg(dst_executor)),
+            MulticastFabric(cfg(src_workers)),
+            MulticastFabric(cfg(dst_workers)),
         ]
         docs = []
         for fabric in fabrics:
