@@ -9,8 +9,9 @@ BRSMN frames, plus the underlying kernels, and regenerates:
 * ``BENCH_fast_engine.json`` at the repo root — machine-readable
   (n, reference ms, fast ms, batch throughput, plus a ``parallel``
   section: warm/cold frames/s at 1/2/4 workers with p50/p95, the
-  host's cpu_count, and a cold-cache single-flight demonstration) so
-  future PRs can track the perf trajectory
+  host's cpu_count, and a cold-cache single-flight demonstration, and
+  a ``restore`` section: a 32-plan warm restore, batched vs one
+  compile per plan) so future PRs can track the perf trajectory
   (``scripts/check_bench_regression.py`` gates on it in CI).
 
 All timings are min-of-k with a warmup iteration: the *minimum* over k
@@ -35,15 +36,17 @@ import pytest
 from repro.analysis.tables import format_table
 from repro.core.brsmn import BRSMN
 from repro.core.config import NetworkConfig
+from repro.core.fabric import MulticastFabric
 from repro.core.fastplan import compile_frame_plan
 from repro.core.tags import Tag
 from repro.core.verification import verify_result
-from repro.faults import FaultPlan
+from repro.faults import FaultKind, FaultPlan
 from repro.obs import NullSink
 from repro.rbn.bitsort import route_to_compact
 from repro.rbn.cells import cells_from_tags
 from repro.rbn.fast import fast_quasisort, fast_sort_cells
 from repro.rbn.quasisort import quasisort
+from repro.resilience import FabricSnapshot
 from repro.workloads.random_assignments import random_multicast
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -81,6 +84,52 @@ def timing_stats(fn, *, k=7, warmup=1):
         "min_s": samples[0],
         "p50_s": samples[len(samples) // 2],
         "p95_s": samples[max(0, math.ceil(0.95 * len(samples)) - 1)],
+    }
+
+
+def restore_section(k=9):
+    """Warm restore of a 32-plan snapshot at n = 64 under the 4-fault
+    stuck/dead plan of the serving benchmark's ``faulted_overload``:
+    one ``compile_frame_plan`` per plan vs one ``FabricSnapshot.restore``
+    (a batched compile plus in-order cache inserts) into a fresh
+    fabric.  The same measurement is gated by
+    ``scripts/check_bench_regression.py --compile``."""
+    n, plans = 64, 32
+    fault_plan = FaultPlan.random(
+        n, faults=4, seed=1, kinds=[FaultKind.STUCK_AT, FaultKind.DEAD_SWITCH]
+    )
+    pool = [random_multicast(n, load=1.0, seed=n + i) for i in range(plans)]
+    snap = FabricSnapshot(
+        n=n,
+        assignments=[
+            {str(i): sorted(a[i]) for i in a.active_inputs} for a in pool
+        ],
+    )
+    cfg = NetworkConfig(n, engine="fast", fault_plan=fault_plan)
+
+    def sequential_once():
+        t0 = time.perf_counter()
+        for a in pool:
+            compile_frame_plan(a, fault_plan=fault_plan)
+        return time.perf_counter() - t0
+
+    def restore_once():
+        fabric = MulticastFabric(cfg)
+        t0 = time.perf_counter()
+        assert snap.restore(fabric) == plans
+        return time.perf_counter() - t0
+
+    # Alternate the two, so a change in host load hits both sides.
+    samples = [(sequential_once(), restore_once()) for _ in range(k + 1)][1:]
+    sequential_s = min(s for s, _ in samples)
+    restore_s = min(r for _, r in samples)
+    return {
+        "n": n,
+        "plans": plans,
+        "faults": len(fault_plan.faults),
+        "sequential_compile_ms": round(sequential_s * 1e3, 4),
+        "restore_ms": round(restore_s * 1e3, 4),
+        "speedup": round(sequential_s / max(restore_s, 1e-9), 1),
     }
 
 
@@ -324,6 +373,13 @@ def test_end_to_end_speedup(write_artifact, benchmark):
         )
     results["cluster"] = cluster_section
 
+    # -- warm restore: a snapshot's plans compiled in one batched call
+    restore = results["restore"] = restore_section()
+    assert restore["speedup"] >= 5.0, (
+        f"batched restore only {restore['speedup']:.1f}x faster than one "
+        "compile per plan (need >= 5x)"
+    )
+
     write_artifact(
         "fast_engine",
         "Compiled gather-plan engine vs reference per-switch simulation\n"
@@ -397,7 +453,18 @@ def test_end_to_end_speedup(write_artifact, benchmark):
             ],
         )
         + "\n  plan affinity keeps the warm hit rate at the "
-          "single-fabric 100% at every replica count",
+          "single-fabric 100% at every replica count"
+        + "\n\nWarm restore (n = {n}, {p} plans, {f}-fault stuck/dead "
+          "plan):\n"
+          "  one compile per plan {c:.2f} ms\n"
+          "  FabricSnapshot.restore {r:.2f} ms ({x:.1f}x, bar: >= 5x)".format(
+            n=restore["n"],
+            p=restore["plans"],
+            f=restore["faults"],
+            c=restore["sequential_compile_ms"],
+            r=restore["restore_ms"],
+            x=restore["speedup"],
+        ),
     )
     JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
 

@@ -26,9 +26,12 @@ on top of one fabric, not the runner's scheduling of K fabrics)::
     PYTHONPATH=src python scripts/check_bench_regression.py --cluster
 
 ``--compile`` gates the cold path: n = 1024 plan compile (min-of-k
-``compile_frame_plan`` on the bench's assignment, best of up to five
-bursts) fails when it is more than ``--threshold`` slower than the
-committed ``sizes`` row's ``plan_compile_ms``::
+``compile_frame_plan`` on the bench's assignment) and the warm restore
+of the bench's 32-plan snapshot at n = 64 (min-of-k
+``FabricSnapshot.restore`` into a fresh faulted fabric), each the best
+of up to five bursts, fail when more than ``--threshold`` slower than
+the committed ``sizes`` row's ``plan_compile_ms`` / ``restore``
+section's ``restore_ms``::
 
     PYTHONPATH=src python scripts/check_bench_regression.py --compile
 
@@ -87,12 +90,7 @@ def committed_frames_per_s(
     (1, not 4, so the gate prices the placement/lifecycle overhead
     rather than how the runner schedules K fabrics).
     """
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        print(f"bench regression: {path} not found", file=sys.stderr)
-        sys.exit(2)
-    rows = data.get(section, {}).get(rows_key, [])
+    rows = _committed(path).get(section, {}).get(rows_key, [])
     for row in rows:
         if row.get(row_field) == workers:
             return float(row["warm_frames_per_s"])
@@ -106,16 +104,30 @@ def committed_frames_per_s(
 def committed_compile_ms(path: pathlib.Path, n: int = 1024) -> float:
     """The committed ``plan_compile_ms`` of the ``sizes`` row for ``n``,
     or exit 2 if absent."""
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        print(f"bench regression: {path} not found", file=sys.stderr)
-        sys.exit(2)
+    data = _committed(path)
     for row in data.get("sizes", []):
         if row.get("n") == n and "plan_compile_ms" in row:
             return float(row["plan_compile_ms"])
     print(f"bench regression: no sizes n={n} row in {path}", file=sys.stderr)
     sys.exit(2)
+
+
+def committed_restore_ms(path: pathlib.Path) -> float:
+    """The committed ``restore`` section's ``restore_ms``, or exit 2 if
+    absent."""
+    restore = _committed(path).get("restore", {})
+    if "restore_ms" not in restore:
+        print(f"bench regression: no restore section in {path}", file=sys.stderr)
+        sys.exit(2)
+    return float(restore["restore_ms"])
+
+
+def _committed(path: pathlib.Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        print(f"bench regression: {path} not found", file=sys.stderr)
+        sys.exit(2)
 
 
 def measure_compile_ms(n: int = 1024, k: int = 40, warmup: int = 2) -> float:
@@ -128,6 +140,49 @@ def measure_compile_ms(n: int = 1024, k: int = 40, warmup: int = 2) -> float:
     return 1e3 * min(
         _timed(compile_frame_plan, assignment) for _ in range(k)
     )
+
+
+def measure_restore_ms(k: int = 9) -> float:
+    """Min-of-k milliseconds of the bench's warm restore: a 32-plan
+    snapshot at n = 64 restored into a fresh fabric under the 4-fault
+    stuck/dead plan (the bench's ``restore`` section)."""
+    from repro import FabricSnapshot, MulticastFabric
+    from repro.faults import FaultKind, FaultPlan
+
+    n, plans = 64, 32
+    fault_plan = FaultPlan.random(
+        n, faults=4, seed=1, kinds=[FaultKind.STUCK_AT, FaultKind.DEAD_SWITCH]
+    )
+    pool = [random_multicast(n, load=1.0, seed=n + i) for i in range(plans)]
+    snap = FabricSnapshot(
+        n=n,
+        assignments=[
+            {str(i): sorted(a[i]) for i in a.active_inputs} for a in pool
+        ],
+    )
+    cfg = NetworkConfig(n, engine="fast", fault_plan=fault_plan)
+
+    def restore_once() -> float:
+        fabric = MulticastFabric(cfg)
+        t0 = time.perf_counter()
+        snap.restore(fabric)
+        return time.perf_counter() - t0
+
+    restore_once()
+    return 1e3 * min(restore_once() for _ in range(k))
+
+
+def best_of_bursts(measure, ceiling: float) -> float:
+    """``measure()``, re-taken (up to five bursts, a few seconds apart)
+    while above ``ceiling``: a busy host slows every sample of a burst,
+    so one slow burst is not yet a regression."""
+    measured = measure()
+    for _ in range(4):
+        if measured <= ceiling:
+            break
+        time.sleep(3.0)
+        measured = min(measured, measure())
+    return measured
 
 
 def measure_frames_per_s(k: int = 7, warmup: int = 2) -> float:
@@ -251,8 +306,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compile",
         action="store_true",
-        help="gate n=1024 plan compile time against the committed "
-        "sizes row instead of a throughput row",
+        help="gate n=1024 plan compile time and the 32-plan warm "
+        "restore against the committed sizes row and restore section "
+        "instead of a throughput row",
     )
     parser.add_argument(
         "--adaptive-gate",
@@ -297,23 +353,23 @@ def main(argv=None) -> int:
         return adaptive_gate(args)
 
     if args.compile:
-        committed = committed_compile_ms(args.json)
-        ceiling = committed * (1.0 + args.threshold)
-        # A busy host slows every sample of a burst; re-measure (up to
-        # five bursts, a few seconds apart) before calling a regression.
-        measured = measure_compile_ms()
-        for _ in range(4):
-            if measured <= ceiling:
-                break
-            time.sleep(3.0)
-            measured = min(measured, measure_compile_ms())
-        verdict = "OK" if measured <= ceiling else "REGRESSION"
-        print(
-            f"n=1024 plan compile: measured {measured:.2f} ms vs committed "
-            f"{committed:.2f} ms (ceiling {ceiling:.2f} at "
-            f"+{args.threshold:.0%}) -> {verdict}"
-        )
-        return 0 if measured <= ceiling else 1
+        failed = False
+        for label, committed, measure in (
+            ("n=1024 plan compile", committed_compile_ms(args.json),
+             measure_compile_ms),
+            ("n=64 32-plan restore", committed_restore_ms(args.json),
+             measure_restore_ms),
+        ):
+            ceiling = committed * (1.0 + args.threshold)
+            measured = best_of_bursts(measure, ceiling)
+            verdict = "OK" if measured <= ceiling else "REGRESSION"
+            failed |= measured > ceiling
+            print(
+                f"{label}: measured {measured:.2f} ms vs committed "
+                f"{committed:.2f} ms (ceiling {ceiling:.2f} at "
+                f"+{args.threshold:.0%}) -> {verdict}"
+            )
+        return 1 if failed else 0
     if args.cluster:
         committed = committed_frames_per_s(
             args.json, section="cluster", workers=1,

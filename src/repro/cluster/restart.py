@@ -23,6 +23,7 @@ plan-affinity router works to keep hot — survives the restart.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Dict, List, Optional
 
 from ..obs.events import emit
@@ -46,7 +47,11 @@ class RollingRestart:
     """
 
     def __init__(self, cluster, drain_frames=None, snapshot_dir=None):
-        self.cluster = cluster
+        # The cluster owns its campaign and advances it on every submit;
+        # a weak back-reference keeps the pair out of a reference cycle,
+        # so a dropped cluster (and every plan its replicas cache) is
+        # freed at once instead of at the next full garbage collection.
+        self._cluster = weakref.ref(cluster)
         self.drain_frames = (
             cluster.config.drain_frames
             if drain_frames is None
@@ -64,6 +69,12 @@ class RollingRestart:
         self._begin: Dict[int, List[int]] = {}
         self._finish: Dict[int, List[int]] = {}
         self.completed: List[int] = []
+
+    @property
+    def cluster(self):
+        """The :class:`~repro.cluster.cluster.FabricCluster` driving the
+        campaign."""
+        return self._cluster()
 
     def schedule(self, replica: int, at_frame: int) -> None:
         """Drain replica ``replica`` when frame ``at_frame`` arrives;

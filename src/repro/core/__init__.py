@@ -38,7 +38,13 @@ from .brsmn import (
 from .bsn import BinarySplittingNetwork, BsnFrameStats, make_bsn_cells
 from .config import NetworkConfig
 from .fabric import FabricStats, MulticastFabric
-from .fastplan import FramePlan, PlanCache, compile_frame_plan, compile_level_gather
+from .fastplan import (
+    FramePlan,
+    PlanCache,
+    compile_frame_plan,
+    compile_frame_plans,
+    compile_level_gather,
+)
 from .feedback import FeedbackBRSMN, FeedbackRoutingResult, PassRecord
 from .message import Message
 from .multicast import MulticastAssignment, paper_example_assignment
@@ -100,6 +106,7 @@ __all__ = [
     "FramePlan",
     "PlanCache",
     "compile_frame_plan",
+    "compile_frame_plans",
     "compile_level_gather",
     "FeedbackBRSMN",
     "FeedbackRoutingResult",

@@ -499,11 +499,7 @@ class BRSMN:
                                 )
                             )
                         ),
-                        extra_key=(
-                            fault_plan.fingerprint()
-                            if fault_plan is not None
-                            else ""
-                        ),
+                        extra_key=self._plan_key,
                         observer=cfg.observer,
                     )
             else:
@@ -709,6 +705,12 @@ class BRSMN:
             )
         )
 
+    @property
+    def _plan_key(self) -> str:
+        """Plan-cache key suffix: the fault plan's fingerprint, so
+        faulted plans never collide with healthy ones."""
+        return self.fault_plan.fingerprint() if self.fault_plan is not None else ""
+
     def _plan(self, assignment: MulticastAssignment, observer=None, frame_id=-1):
         """Fetch (or compile) the routing plan; returns ``(plan, hit)``.
 
@@ -728,7 +730,7 @@ class BRSMN:
             compile_fn=lambda a: compile_frame_plan(
                 a, observer=observer, frame_id=frame_id, fault_plan=fault_plan
             ),
-            extra_key=fault_plan.fingerprint() if fault_plan is not None else "",
+            extra_key=self._plan_key,
         )
 
     def _route_fast(
@@ -797,6 +799,29 @@ class BRSMN:
         if self.pipeline is None:
             return False
         return self.pipeline.prefetch(assignment)
+
+    def warm_plans(self, assignments: Sequence[MulticastAssignment]) -> int:
+        """Compile many assignments into the plan cache in one call.
+
+        The plans are compiled together by
+        :func:`~repro.core.fastplan.compile_frame_plans` under the
+        network's fault plan, then inserted in order through the
+        cache's ordinary ``get`` under the keys routing uses, so LRU
+        order, hit/miss counters and ``fastplan.plan_cache`` events are
+        those of looking the assignments up one by one.  Returns the
+        number of assignments (0 when the network has no plan cache).
+        """
+        if self.plan_cache is None:
+            return 0
+        from .fastplan import compile_frame_plans  # deferred, as above
+
+        plans = compile_frame_plans(assignments, fault_plan=self.fault_plan)
+        key = self._plan_key
+        for assignment, plan in zip(assignments, plans):
+            self.plan_cache.get(
+                assignment, compile_fn=lambda _, plan=plan: plan, extra_key=key
+            )
+        return len(plans)
 
     def close(self) -> None:
         """Drain pending prefetches and stop the worker pool.

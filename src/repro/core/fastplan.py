@@ -11,13 +11,16 @@ routing into array form:
   vectorised epsilon-dividing + bit-sorting kernels
   (:mod:`repro.rbn.fast`) yields one flat ``(src, role)`` gather for
   the whole level;
-* :func:`compile_frame_plan` chains the levels.  It tracks, per output
-  address, the current *position* of the message copy that will deliver
-  there (``owner``) and, per position, the original input feeding it
+* :func:`compile_frame_plans` chains the levels for a whole batch of
+  assignments at once: B networks side by side are just B times the
+  blocks of each level's kernel call.  It tracks, per output address,
+  the current *position* of the message copy that will deliver there
+  (``owner``) and, per position, the original input feeding it
   (``origin``) — both plain integer arrays updated by gathers — and
-  needs no per-message Python at all.  The result is a
-  :class:`FramePlan` whose ``delivery_src[o]`` is the input index
-  delivered to output ``o``;
+  needs no per-message Python at all.  The result is one
+  :class:`FramePlan` per assignment, whose ``delivery_src[o]`` is the
+  input index delivered to output ``o``.  :func:`compile_frame_plan`
+  is its one-assignment case, and the only other entry point;
 * :class:`FramePlan` applies a compiled plan to any payload vector — or
   to a whole ``(batch, n)`` payload matrix, routing many frames that
   share an assignment in one fancy-indexing gather;
@@ -48,7 +51,13 @@ import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
 from ..obs.events import Event, emit
-from ..rbn.fast import block_counts, divide_epsilons, sort_gather
+from ..rbn.fast import (
+    block_counts,
+    build_shape_tables,
+    divide_epsilons,
+    shape_tables,
+    sort_gather,
+)
 from ..rbn.fast_scatter import (
     CODE_ALPHA,
     CODE_EPS,
@@ -64,6 +73,7 @@ from .serialization import assignment_fingerprint
 __all__ = [
     "compile_level_gather",
     "compile_frame_plan",
+    "compile_frame_plans",
     "FramePlan",
     "PlanCache",
 ]
@@ -96,10 +106,12 @@ def compile_level_gather(
     return _level_gather(codes, block_counts(codes, 4), stage_ns)
 
 
-def _level_gather(codes, counts, stage_ns) -> Tuple[np.ndarray, np.ndarray]:
+def _level_gather(
+    codes, counts, stage_ns, tables=None
+) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`compile_level_gather` given the level's count matrix
     (``[n0, n1, na, ne]`` per block), which the eq. (2) and eq. (3)
-    checks share."""
+    checks share, and optionally the shape's node tables."""
     blocks, size = codes.shape
     half = size // 2
     n0, n1, na = counts[:, CODE_ZERO], counts[:, CODE_ONE], counts[:, CODE_ALPHA]
@@ -113,7 +125,9 @@ def _level_gather(codes, counts, stage_ns) -> Tuple[np.ndarray, np.ndarray]:
 
     # Scatter pass (Theorem 2): eliminate every alpha, s = 0 per block.
     t = perf_counter_ns() if stage_ns is not None else 0
-    scat = scatter_gather(codes, np.zeros(blocks, dtype=np.int64), counts)
+    scat = scatter_gather(
+        codes, np.zeros(blocks, dtype=np.int64), counts, tables
+    )
     scat_codes = scat.output_codes(codes)
     if stage_ns is not None:
         now = perf_counter_ns()
@@ -125,7 +139,9 @@ def _level_gather(codes, counts, stage_ns) -> Tuple[np.ndarray, np.ndarray]:
     # then ascending bit sort to C(n/2, n/2) over the one-population.
     quasi = np.minimum(scat_codes, 2).reshape(blocks, size)
     divided = divide_epsilons(quasi, block_counts(quasi, 3))
-    perm = sort_gather((divided == 1) | (divided == 4), np.full(blocks, half))
+    perm = sort_gather(
+        (divided == 1) | (divided == 4), np.full(blocks, half), tables
+    )
     if stage_ns is not None:
         stage_ns["quasisort"] = stage_ns.get("quasisort", 0) + (
             perf_counter_ns() - t
@@ -185,7 +201,11 @@ class FramePlan:
 
     def __post_init__(self) -> None:
         self.delivery_src.flags.writeable = False
-        splits = sum(int(c[:, CODE_ALPHA].sum()) for c in self.bsn_counts)
+        splits = (
+            int(np.concatenate(self.bsn_counts)[:, CODE_ALPHA].sum())
+            if self.bsn_counts
+            else 0
+        )
         # A BSN of size s runs two RBNs of (s/2) log2 s switches each.
         ops = sum(self.n * ((self.n // len(c)).bit_length() - 1)
                   for c in self.bsn_counts)
@@ -333,59 +353,101 @@ def compile_frame_plan(
 ) -> FramePlan:
     """Compile the full recursive BRSMN routing of one assignment.
 
-    Runs every recursion level through :func:`compile_level_gather`,
-    following each message copy by position (``owner``) and provenance
-    (``origin``) arrays, exactly as the unrolled network would move it.
-
-    Args:
-        assignment: the multicast assignment to compile.
-        observer: optional enabled :class:`~repro.obs.events.Observer` —
-            when given, each recursion level emits a ``("fastplan",
-            "level")`` :class:`~repro.obs.events.Event` with per-stage
-            ``perf_counter_ns`` spans (``tag`` / ``scatter`` /
-            ``quasisort`` / ``gather``) plus the level's split and
-            switch-operation counts.
-        frame_id: frame id to tag emitted spans with.
-        fault_plan: optional :class:`~repro.faults.plan.FaultPlan` —
-            when non-empty, each fault plane is folded into the compiled
-            plan right after its recursion level: stuck-crossed cells
-            permute the tracking arrays (so ``delivery_src`` lands
-            where the broken fabric actually delivers), dead cells
-            contribute ``lost_outputs``, flaky cells contribute
-            ``flaky_exposure``.  An empty plan compiles the identical
-            healthy plan.
+    The one-assignment case of :func:`compile_frame_plans`; see there
+    for the arguments.
 
     Raises:
         RoutingInvariantError: if any level's input populations violate
             the paper's invariants (impossible for a valid assignment).
     """
-    n = assignment.n
+    return compile_frame_plans(
+        [assignment], fault_plan=fault_plan, observer=observer, frame_id=frame_id
+    )[0]
+
+
+def compile_frame_plans(
+    assignments: Sequence[MulticastAssignment],
+    fault_plan=None,
+    observer=None,
+    frame_id: int = -1,
+) -> List[FramePlan]:
+    """Compile the full recursive BRSMN routing of many assignments.
+
+    Runs every recursion level through the level kernels once for the
+    whole batch, following each message copy by position (``owner``)
+    and provenance (``origin``) arrays, exactly as the unrolled network
+    would move it.  ``B`` networks of size ``n`` lie side by side in
+    one flat ``B * n`` layout: at level ``k`` they are ``B * 2^k``
+    independent BSNs, i.e. just more blocks of the same kernel call.
+    Positions and outputs are batch-global (network ``b`` owns
+    ``[b * n, (b + 1) * n)``), while ``origin`` holds input indices
+    within a network.  Each plan equals the one its assignment
+    compiles to alone.
+
+    Args:
+        assignments: the multicast assignments to compile, all of one
+            network size.
+        fault_plan: optional :class:`~repro.faults.plan.FaultPlan`
+            shared by the batch — when non-empty, each fault plane is
+            folded into every plan right after its recursion level:
+            stuck-crossed cells permute the tracking arrays (so
+            ``delivery_src`` lands where the broken fabric actually
+            delivers), dead cells contribute ``lost_outputs``, flaky
+            cells contribute ``flaky_exposure``.  An empty plan
+            compiles the identical healthy plans.
+        observer: optional enabled :class:`~repro.obs.events.Observer` —
+            when given, each recursion level emits one ``("fastplan",
+            "level")`` :class:`~repro.obs.events.Event` for the whole
+            batch, with per-stage ``perf_counter_ns`` spans (``tag`` /
+            ``scatter`` / ``quasisort`` / ``gather``) plus the level's
+            block, split and switch-operation counts summed over it.
+        frame_id: frame id to tag emitted spans with.
+
+    Returns:
+        One :class:`FramePlan` per assignment, in order.
+
+    Raises:
+        InvalidAssignmentError: if the assignments differ in size.
+        RoutingInvariantError: if any level's input populations violate
+            the paper's invariants (impossible for a valid assignment).
+    """
+    if not assignments:
+        return []
+    n = assignments[0].n
+    if any(a.n != n for a in assignments):
+        raise InvalidAssignmentError(
+            "compile_frame_plans needs assignments of one network size, "
+            f"got n={sorted({a.n for a in assignments})}"
+        )
     m = check_network_size(n)
+    batch = len(assignments)
+    total = batch * n
     emit = observer is not None and observer.enabled
     inject = fault_plan is not None and not fault_plan.is_empty
-    fault_state = (
+    fault_states = [
         {"lost": np.zeros(n, dtype=bool), "exposure": [], "hits": []}
-        if inject
-        else None
-    )
+        for _ in range(batch)
+    ] if inject else None
 
     # owner[o]: current position of the copy that will deliver output o;
     # every copy starts at its source input, so owner starts as the
-    # assignment's source vector.
-    source = assignment.source_vector()
+    # source vectors, shifted into each network's slice.
+    source = np.concatenate([a.source_vector() for a in assignments])
     used = source >= 0
-    owner = source.copy()
+    offset = np.repeat(np.arange(0, total, n), n)
+    owner = np.where(used, source + offset, -1)
     # origin[p]: original input of the message copy at position p.
-    injects = np.zeros(n, dtype=bool)
-    injects[source[used]] = True
-    origin = np.where(injects, np.arange(n), -1)
+    outputs_idx = np.arange(total, dtype=np.int64)
+    injects = np.zeros(total, dtype=bool)
+    injects[owner[used]] = True
+    origin = np.where(injects, outputs_idx - offset, -1)
 
     counts: List[np.ndarray] = []
-    outputs_idx = np.arange(n, dtype=np.int64)
     size = n
     while size > 2:
         half = size // 2
-        blocks = n // size
+        blocks = total // size
+        level = m - (size.bit_length() - 1) + 1
         if emit:
             stage_ns: Dict[str, int] = {}
             t_level = t_stage = perf_counter_ns()
@@ -394,41 +456,48 @@ def compile_frame_plan(
         # if it owns an upper-half output, bit 0 a lower-half one.
         active = owner >= 0
         lower_out = (outputs_idx // half) & 1
-        owns = np.zeros(2 * n, dtype=np.int64)
-        owns[owner[active] + n * lower_out[active]] = 1
-        codes2d = _CODE_OF_OWNS[2 * owns[:n] + owns[n:]].reshape(blocks, size)
+        owns = np.zeros(2 * total, dtype=np.int64)
+        owns[owner[active] + total * lower_out[active]] = 1
+        codes2d = _CODE_OF_OWNS[2 * owns[:total] + owns[total:]].reshape(
+            blocks, size
+        )
         # Per-BSN input populations: assignment-determined, so part of
         # the compiled plan (stats are built from them on demand).
         level_counts = block_counts(codes2d, 4)
-        counts.append(level_counts)
+        counts.append(level_counts.reshape(batch, blocks // batch, 4))
 
         if emit:
             now = perf_counter_ns()
             stage_ns["tag"] = now - t_stage
             t_stage = now
 
-        # ---- route the level and advance the tracking arrays.
-        src, role = _level_gather(codes2d, level_counts, stage_ns if emit else None)
+        # ---- route the level and advance the tracking arrays.  One
+        # network's level shapes are memoised; a batch's are not, so
+        # the memo does not grow with the batch size.
+        tables = (shape_tables if batch == 1 else build_shape_tables)(
+            blocks, size
+        )
+        src, role = _level_gather(
+            codes2d, level_counts, stage_ns if emit else None, tables
+        )
         if emit:
             t_stage = perf_counter_ns()
-        # inv[q] / inv[n + q]: where the tag-0 / tag-1 copy of the cell
-        # at position q went (a unicast cell fills both slots).
-        inv = np.full(2 * n, -1, dtype=np.int64)
-        inv[src + n * (role == 2)] = outputs_idx
-        inv[src + n * (role != 1)] = outputs_idx
+        # inv[q] / inv[total + q]: where the tag-0 / tag-1 copy of the
+        # cell at position q went (a unicast cell fills both slots).
+        inv = np.full(2 * total, -1, dtype=np.int64)
+        inv[src + total * (role == 2)] = outputs_idx
+        inv[src + total * (role != 1)] = outputs_idx
         origin = origin[src]
-        owner = np.where(active, inv[np.maximum(owner, 0) + n * lower_out], -1)
+        owner = np.where(
+            active, inv[np.maximum(owner, 0) + total * lower_out], -1
+        )
         if np.any((owner < 0) & used):
             raise RoutingInvariantError(
                 "fast plan lost track of a delivery while compiling"
             )
         if inject:
             _fold_plane_faults(
-                fault_plan,
-                m - (size.bit_length() - 1) + 1,
-                owner,
-                origin,
-                fault_state,
+                fault_plan.at_level(level), owner, origin, fault_states
             )
         if emit:
             now = perf_counter_ns()
@@ -440,11 +509,11 @@ def compile_frame_plan(
                     frame_id,
                     now,
                     {
-                        "level": m - (size.bit_length() - 1) + 1,
+                        "level": level,
                         "size": size,
                         "blocks": blocks,
                         "splits": int(level_counts[:, CODE_ALPHA].sum()),
-                        "switch_ops": n * (size.bit_length() - 1),
+                        "switch_ops": total * (size.bit_length() - 1),
                         "stage_ns": stage_ns,
                         "duration_ns": now - t_level,
                         "engine": "fast",
@@ -453,72 +522,93 @@ def compile_frame_plan(
             )
         size = half
 
-    delivery_src = np.where(owner >= 0, origin[np.maximum(owner, 0)], -1)
-    lost_outputs: Tuple[int, ...] = ()
-    flaky_exposure: Tuple = ()
-    fault_hits: Tuple = ()
-    if inject:
-        delivery_src = _fold_delivery_faults(
-            fault_plan, m, delivery_src, fault_state
+    delivery = np.where(owner >= 0, origin[np.maximum(owner, 0)], -1)
+    faults = fault_plan.at_level(m) if inject else ()
+    plans = []
+    for b in range(batch):
+        delivery_src = delivery[b * n:(b + 1) * n]
+        lost_outputs: Tuple[int, ...] = ()
+        flaky_exposure: Tuple = ()
+        fault_hits: Tuple = ()
+        if inject:
+            state = fault_states[b]
+            delivery_src = _fold_delivery_faults(faults, delivery_src, state)
+            lost_outputs = tuple(np.nonzero(state["lost"])[0].tolist())
+            flaky_exposure = tuple(state["exposure"])
+            fault_hits = tuple(state["hits"])
+        plans.append(
+            FramePlan(
+                n=n,
+                delivery_src=delivery_src,
+                bsn_counts=tuple(c[b] for c in counts),
+                final_switches=n // 2,
+                lost_outputs=lost_outputs,
+                flaky_exposure=flaky_exposure,
+                fault_hits=fault_hits,
+            )
         )
-        lost_outputs = tuple(np.nonzero(fault_state["lost"])[0].tolist())
-        flaky_exposure = tuple(fault_state["exposure"])
-        fault_hits = tuple(fault_state["hits"])
-    return FramePlan(
-        n=n,
-        delivery_src=delivery_src,
-        bsn_counts=tuple(counts),
-        final_switches=n // 2,
-        lost_outputs=lost_outputs,
-        flaky_exposure=flaky_exposure,
-        fault_hits=fault_hits,
-    )
+    return plans
 
 
-def _fold_plane_faults(fault_plan, level, owner, origin, state) -> None:
-    """Fold one inner fault plane into the compile-time tracking arrays.
+def _fold_plane_faults(faults, owner, origin, states) -> None:
+    """Fold one inner fault plane into the batch's tracking arrays.
 
     Positions carry a live message copy exactly when they own at least
     one output, so presence and affected sets are read straight off the
     ``owner`` array — the same sets the reference injector derives from
-    the in-flight messages' destination sets.  ``owner`` / ``origin``
-    are mutated in place (a stuck-crossed cell swaps its two link
-    positions); losses and exposure accumulate in ``state``.
+    the in-flight messages' destination sets.  Network ``b`` of the
+    batch owns outputs and positions ``[b * n, (b + 1) * n)``; one
+    comparison per fault finds its ports in every network, and each
+    network the fault touches records its hits, losses and exposure in
+    its own ``states[b]``.  ``owner`` / ``origin`` are mutated in place
+    (a stuck-crossed cell swaps its two link positions).
     """
-    for fault in fault_plan.at_level(level):
-        p, q = fault.positions
-        port0 = np.nonzero(owner == p)[0]
-        port1 = np.nonzero(owner == q)[0]
-        if port0.size == 0 and port1.size == 0:
-            continue
+    if not faults:
+        return
+    batch = len(states)
+    n = owner.size // batch
+    # Position within its own network of each output's copy (negative
+    # when idle).  Faults of one plane sit on distinct cells, so a
+    # stuck swap never changes what a later fault of the plane reads.
+    local = owner.reshape(batch, n) - np.arange(0, owner.size, n)[:, None]
+    for fault in faults:
         kind = fault.kind
+        if kind == "stuck_at" and fault.stuck_setting != 1:
+            continue
+        p, q = fault.positions
+        rows0, port0 = np.nonzero(local == p)
+        rows1, port1 = np.nonzero(local == q)
         if kind == "stuck_at":
-            if fault.stuck_setting != 1:
+            owner[rows0 * n + port0] = rows0 * n + q
+            owner[rows1 * n + port1] = rows1 * n + p
+        ports: Dict[int, Tuple[List[int], List[int]]] = {}
+        for b, o in zip(rows0.tolist(), port0.tolist()):
+            ports.setdefault(b, ([], []))[0].append(o)
+        for b, o in zip(rows1.tolist(), port1.tolist()):
+            ports.setdefault(b, ([], []))[1].append(o)
+        for b, (mine0, mine1) in ports.items():
+            state = states[b]
+            if kind == "flaky_link":  # sampled per attempt later
+                state["exposure"].append((fault, tuple(mine0), tuple(mine1)))
                 continue
-            origin[[p, q]] = origin[[q, p]]
-            owner[port0] = q
-            owner[port1] = p
-            affected = tuple(sorted(port0.tolist() + port1.tolist()))
+            affected = tuple(sorted(mine0 + mine1))
+            if kind == "stuck_at":
+                at_p, at_q = b * n + p, b * n + q
+                origin[at_p], origin[at_q] = origin[at_q], origin[at_p]
+            else:
+                state["lost"][list(affected)] = True
             state["hits"].append((fault, affected))
-        elif kind == "dead_switch":
-            affected = tuple(sorted(port0.tolist() + port1.tolist()))
-            state["lost"][list(affected)] = True
-            state["hits"].append((fault, affected))
-        else:  # flaky_link: record exposure, sample per attempt later.
-            state["exposure"].append(
-                (fault, tuple(port0.tolist()), tuple(port1.tolist()))
-            )
 
 
-def _fold_delivery_faults(fault_plan, m, delivery_src, state) -> np.ndarray:
-    """Fold plane ``m`` (the output links) into a finished plan.
+def _fold_delivery_faults(faults, delivery_src, state) -> np.ndarray:
+    """Fold the delivery plane's ``faults`` (the output links) into one
+    finished plan.
 
     Stuck-crossed delivery cells permute the delivered contents, so
     everything recorded at inner planes — lost outputs, flaky exposure —
     is remapped through the same (involutive) permutation; dead and
     flaky delivery cells then act on the final output addresses.
     """
-    faults = fault_plan.at_level(m)
     if not faults:
         return delivery_src
     n = delivery_src.shape[0]

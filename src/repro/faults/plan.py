@@ -210,13 +210,20 @@ class FaultPlan:
         return tuple(f for f in self.faults if f.level == level)
 
     def fingerprint(self) -> str:
-        """A canonical content hash, used to key cached routing plans."""
-        payload = json.dumps(
-            {"n": self.n, "faults": [f.as_dict() for f in self.faults]},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """A canonical content hash, used to key cached routing plans.
+
+        The plan is immutable, so the hash is computed on first call
+        and then kept."""
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            payload = json.dumps(
+                {"n": self.n, "faults": [f.as_dict() for f in self.faults]},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            self.__dict__["_fingerprint"] = digest
+        return digest
 
     @classmethod
     def single_switch(

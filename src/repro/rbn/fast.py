@@ -19,7 +19,9 @@ Every pass is one Table 5 compact setting per node;
 (through an 8-entry ``(setting, is_lower)`` table) and composes those
 into one gather ``out[i] = in[src[i]]``.  The node tables this needs
 depend only on the shape, so :func:`shape_tables` memoises them per
-``(blocks, n)``.  The broadcast-bearing scatter pass
+``(blocks, n)`` for one network's levels; a batched compile, whose
+shape changes with the batch size, builds its own with
+:func:`build_shape_tables`.  The broadcast-bearing scatter pass
 (:mod:`repro.rbn.fast_scatter`) uses the same machinery.
 
 Every kernel is *block-batched*: a ``(blocks, n')`` matrix of
@@ -68,9 +70,12 @@ class ShapeTables(NamedTuple):
     level_start: Tuple[int, ...]  # m + 1 offsets into the node arrays
 
 
-@lru_cache(maxsize=64)
-def shape_tables(blocks: int, n: int) -> ShapeTables:
-    """The memoised (read-only, int32) :class:`ShapeTables` of a shape."""
+def build_shape_tables(blocks: int, n: int) -> ShapeTables:
+    """The (read-only, int32) :class:`ShapeTables` of a shape, built
+    afresh.  A batched compile
+    (:func:`~repro.core.fastplan.compile_frame_plans`) has a new shape
+    per batch size, so it builds its tables instead of growing the
+    :func:`shape_tables` memo."""
     m = check_network_size(n)
     starts = blocks * ((1 << np.arange(m + 1)) - 1)
     node_level = np.repeat(np.arange(m), blocks << np.arange(m))
@@ -84,6 +89,13 @@ def shape_tables(blocks: int, n: int) -> ShapeTables:
     for table in tables[:-1]:
         table.flags.writeable = False
     return tables
+
+
+@lru_cache(maxsize=64)
+def shape_tables(blocks: int, n: int) -> ShapeTables:
+    """The memoised :func:`build_shape_tables` — one network's level
+    shapes, which every compile at that size reuses."""
+    return build_shape_tables(blocks, n)
 
 
 # (2 * setting + is_lower) -> source offset in units of the node half,
@@ -142,16 +154,20 @@ def compose_stages(
     return src, out_role
 
 
-def sort_gather(gamma: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
+def sort_gather(
+    gamma: np.ndarray, s_vals: np.ndarray, tab: Optional[ShapeTables] = None
+) -> np.ndarray:
     """Theorem 1 over a ``(blocks, n)`` 0/1 matrix, as a flat gather.
 
     With ``P`` the root start plus the gamma count before a position,
     the backward phase's inputs at a node's midpoint are ``s1 = P mod
     half`` and ``b = floor(P / half) mod 2``; the node's merging stage
-    is the compact setting ``W(0, s1; 1 - b, b)``.
+    is the compact setting ``W(0, s1; 1 - b, b)``.  ``tab`` defaults to
+    the memoised tables of the shape.
     """
     blocks, n = gamma.shape
-    tab = shape_tables(blocks, n)
+    if tab is None:
+        tab = shape_tables(blocks, n)
     start = np.cumsum(gamma, axis=1) - gamma + s_vals[:, None]
     at_mid = start.reshape(-1)[tab.node_mid]
     s1 = at_mid % tab.node_half

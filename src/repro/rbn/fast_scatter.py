@@ -49,7 +49,7 @@ import numpy as np
 from ..core.tags import Tag
 from ..errors import RoutingInvariantError
 from .cells import Cell
-from .fast import block_counts, compose_stages, shape_tables
+from .fast import ShapeTables, block_counts, compose_stages, shape_tables
 from .permutations import check_network_size
 from .switches import SwitchSetting
 
@@ -136,12 +136,16 @@ class ScatterGather:
 
 
 def scatter_gather(
-    codes: np.ndarray, s_vals, counts: Optional[np.ndarray] = None
+    codes: np.ndarray,
+    s_vals,
+    counts: Optional[np.ndarray] = None,
+    tab: Optional[ShapeTables] = None,
 ) -> ScatterGather:
     """Table 4 over a ``(blocks, n)`` code matrix, as a flat gather.
 
     ``counts`` (optional, ``(blocks, 4)`` populations in code order)
-    validates eq. (3) — ``na <= ne`` — per block.
+    validates eq. (3) — ``na <= ne`` — per block.  ``tab`` defaults to
+    the memoised tables of the shape.
     """
     over = counts is not None and counts[:, CODE_ALPHA] > counts[:, CODE_EPS]
     if np.any(over):
@@ -152,7 +156,8 @@ def scatter_gather(
             f"(block {bad}, eq. (3) of the paper)"
         )
     blocks, n = codes.shape
-    tab = shape_tables(blocks, n)
+    if tab is None:
+        tab = shape_tables(blocks, n)
     starts = tab.level_start
     flat = codes.reshape(-1)
 

@@ -9,10 +9,11 @@ both survive the restart as one JSON document:
 * **plan cache** — the *assignments* behind every cached
   :class:`~repro.core.fastplan.FramePlan`, in LRU order.  Fingerprints
   alone would not do (they are one-way hashes), so the caches retain
-  each entry's assignment; restore re-compiles them through the new
-  network's own compiler, which keeps the restored plans honest about
-  the new network's fault plan (same assignment, possibly different
-  plan).
+  each entry's assignment; restore re-compiles them all in one batched
+  call through the new network's own compiler
+  (:meth:`~repro.core.brsmn.BRSMN.warm_plans`), which keeps the
+  restored plans honest about the new network's fault plan (same
+  assignment, possibly different plan).
 * **health tracker** — the primary plane's quarantine state machine,
   so a plane quarantined before the restart stays drained after it.
 * **circuit breaker** — the breaker state, when the fabric runs one.
@@ -96,8 +97,9 @@ class FabricSnapshot:
         """Warm a (typically fresh) fabric from this snapshot.
 
         Re-compiles every snapshotted assignment into the fabric's plan
-        cache — through the fabric's own compiler, so a different fault
-        plan yields correctly different plans — and re-adopts the
+        cache in one batched call — through the fabric's own compiler,
+        so a different fault plan yields correctly different plans —
+        inserting them in snapshot order, and re-adopts the
         health-tracker and breaker states.  Returns the number of plans
         compiled (0 on a reference-engine fabric, which has no cache).
 
@@ -109,14 +111,15 @@ class FabricSnapshot:
                 f"snapshot is for n={self.n}, fabric is n={fabric.n}"
             )
         warmed = 0
-        cache = getattr(fabric.network, "plan_cache", None)
-        if cache is not None:
-            for mapping in self.assignments:
-                asg = MulticastAssignment.from_dict(
-                    self.n, {int(k): v for k, v in mapping.items()}
-                )
-                fabric.network._plan(asg)
-                warmed += 1
+        if getattr(fabric.network, "plan_cache", None) is not None:
+            warmed = fabric.network.warm_plans(
+                [
+                    MulticastAssignment.from_dict(
+                        self.n, {int(k): v for k, v in mapping.items()}
+                    )
+                    for mapping in self.assignments
+                ]
+            )
         if self.health is not None and fabric.health is not None:
             fabric.health.restore(self.health)
         if (

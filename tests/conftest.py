@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -28,6 +29,25 @@ def make_random_assignment(n: int, rng: random.Random) -> MulticastAssignment:
         used = used[take:]
         i += 1
     return MulticastAssignment(n, dests)
+
+
+def assert_same_plan(batched, single) -> None:
+    """Two compiled FramePlans agree in every field the compiler derives
+    (test helper)."""
+    assert batched.n == single.n
+    assert batched.delivery_src.dtype == single.delivery_src.dtype
+    assert np.array_equal(batched.delivery_src, single.delivery_src)
+    assert not batched.delivery_src.flags.writeable
+    assert len(batched.bsn_counts) == len(single.bsn_counts)
+    for got, want in zip(batched.bsn_counts, single.bsn_counts):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert batched.final_switches == single.final_switches
+    assert batched.lost_outputs == single.lost_outputs
+    assert batched.flaky_exposure == single.flaky_exposure
+    assert batched.fault_hits == single.fault_hits
+    assert batched.total_splits == single.total_splits
+    assert batched.switch_ops == single.switch_ops
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """FaultPlan / Fault model: validation, determinism, fingerprints."""
 
+import pickle
+
 import pytest
 
 from repro.faults import Fault, FaultKind, FaultPlan
@@ -136,3 +138,19 @@ class TestFingerprint:
         assert plan.fingerprint() == (
             "3db625fd83189f856a28819585d52b63cc3134838872cc23e481c021aeb11251"
         )
+
+    def test_fingerprint_is_computed_once(self, monkeypatch):
+        plan = FaultPlan(8, (Fault(kind="dead_switch", level=1, index=2),))
+        calls = []
+        as_dict = Fault.as_dict
+        monkeypatch.setattr(
+            Fault, "as_dict", lambda f: calls.append(f) or as_dict(f)
+        )
+        assert {plan.fingerprint() for _ in range(5)} == {
+            "3db625fd83189f856a28819585d52b63cc3134838872cc23e481c021aeb11251"
+        }
+        assert len(calls) == 1
+        # The memo is not a field: equality, hashing and pickles ignore it.
+        twin = FaultPlan(8, plan.faults)
+        assert twin == plan and hash(twin) == hash(plan)
+        assert pickle.loads(pickle.dumps(plan)) == plan

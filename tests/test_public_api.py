@@ -76,9 +76,22 @@ class TestTopLevel:
 
     def test_fast_engine_internals_stay_private(self):
         """Compiled-plan internals are reachable via subpackages only."""
-        for name in ("compile_frame_plan", "FramePlan", "PlanCache", "fastplan"):
+        for name in (
+            "compile_frame_plan",
+            "compile_frame_plans",
+            "FramePlan",
+            "PlanCache",
+            "fastplan",
+        ):
             assert name not in repro.__all__
             assert not hasattr(repro, name), name
+
+    def test_core_exports_the_batched_compiler(self):
+        import repro.core
+        from repro.core import fastplan
+
+        assert "compile_frame_plans" in repro.core.__all__
+        assert repro.core.compile_frame_plans is fastplan.compile_frame_plans
 
     def test_import_does_not_load_networkx(self):
         """networkx is only needed by the graph checks, which import it
