@@ -5,7 +5,7 @@ Usage (after ``pip install -e .``)::
     python -m repro route --n 8 --assign '{"0":[0,1],"2":[3,4,7],"3":[2],"7":[5,6]}'
     python -m repro route --n 8 --example --trace
     python -m repro stats --n 64 --frames 200 --engine fast --metrics-out metrics.json
-    python -m repro stats --n 256 --frames 500 --workers 4 --compile-ahead 2
+    python -m repro stats --n 256 --frames 500 --workers 4
     python -m repro chaos --n 32 --frames 100 --faults 2 --seed 7
     python -m repro chaos --n 64 --overload --arrival-rate 2.0 --deadline-ms 50
     python -m repro chaos --n 64 --overload --adaptive --seed 7 \\
@@ -179,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker-pool size for the fast engine (1 = single-threaded)",
-    )
-    p_stats.add_argument(
-        "--compile-ahead",
-        type=int,
-        default=0,
-        help="compile-ahead prefetch depth (0 = off); the session run "
-        "loop then warms upcoming frames' plans on the worker pool",
     )
     p_stats.add_argument(
         "--metrics-out",
@@ -521,11 +514,8 @@ def _cmd_stats(args) -> int:
     from .core.fabric import MulticastFabric
     from .obs import CompositeObserver, MetricsObserver, TracingObserver
 
-    if (args.workers > 1 or args.compile_ahead > 0) and args.engine != "fast":
-        print(
-            "--workers/--compile-ahead require --engine fast",
-            file=sys.stderr,
-        )
+    if args.workers > 1 and args.engine != "fast":
+        print("--workers requires --engine fast", file=sys.stderr)
         return 2
     metrics = MetricsObserver()
     tracing = TracingObserver()
@@ -533,7 +523,6 @@ def _cmd_stats(args) -> int:
         args.n,
         engine=args.engine,
         workers=args.workers,
-        compile_ahead=args.compile_ahead,
         observer=CompositeObserver(metrics, tracing),
     )
     fabric = MulticastFabric(cfg, mode=args.mode)
@@ -556,19 +545,12 @@ def _cmd_stats(args) -> int:
             f"{stats.plan_cache_misses} misses "
             f"({stats.plan_cache_hit_rate:.0%} hit rate)"
         )
-    if args.workers > 1 or args.compile_ahead > 0:
+    if args.workers > 1:
         cache = fabric.network.plan_cache
-        pipeline = fabric.network.pipeline
-        line = (
+        print(
             f"parallel: {args.workers} workers, "
             f"{getattr(cache, 'coalesced', 0)} coalesced compiles"
         )
-        if pipeline is not None:
-            line += (
-                f", {pipeline.prefetches} prefetches "
-                f"({pipeline.drops} dropped at depth {args.compile_ahead})"
-            )
-        print(line)
     if not args.no_profile:
         rows = _profile_rows(tracing)
         if rows:

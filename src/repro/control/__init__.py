@@ -1,7 +1,7 @@
 """Adaptive control plane: closed-loop tuning of the serving stack.
 
-PR 5 left the resilience knobs static — a fixed admission refill rate,
-a fixed compile-ahead depth, a fixed worker count.  This package closes
+Without it the resilience knobs are static — a fixed admission
+refill rate, a fixed worker count.  This package closes
 the loop: a deterministic, tick-driven control plane watches the
 observer event stream and retunes those knobs while a campaign runs,
 so provisioning follows load instead of guessing it.
@@ -9,14 +9,14 @@ so provisioning follows load instead of guessing it.
 The pieces, smallest to largest:
 
 * :class:`~repro.control.policy.ControlPolicy` — the frozen envelope
-  every adjustment must stay within (AIMD floor/ceiling, depth and
-  worker bounds, tick cadence).
+  every adjustment must stay within (AIMD floor/ceiling, worker
+  bounds, tick cadence).
 * :class:`~repro.control.signals.SignalAggregator` /
   :class:`~repro.control.signals.SignalWindow` — an observer folding
   the event stream into a sliding window of per-tick signal buckets.
 * :mod:`~repro.control.controllers` — pure
   ``(policy, signals, state) -> (state, actions)`` functions: AIMD
-  admission, compile-ahead depth, worker target, breaker-aware backoff.
+  admission, worker target, breaker-aware backoff.
 * :class:`~repro.control.plane.ControlPlane` — the tick loop that
   wires windows to controllers to actuators, logs every decision, and
   emits ``control`` events into the ``repro_control_*`` metric
@@ -34,12 +34,10 @@ injection.  Enable it with
 from .controllers import (
     AdmissionState,
     BackoffState,
-    CompileAheadState,
     ControlAction,
     WorkerState,
     admission_step,
     backoff_step,
-    compile_ahead_step,
     worker_step,
 )
 from .plane import ControlPlane
@@ -53,11 +51,9 @@ __all__ = [
     "SignalWindow",
     "ControlAction",
     "AdmissionState",
-    "CompileAheadState",
     "WorkerState",
     "BackoffState",
     "admission_step",
-    "compile_ahead_step",
     "worker_step",
     "backoff_step",
 ]

@@ -10,17 +10,13 @@ actuator, reads a clock, or keeps hidden state; the
 That split is what makes seeded campaigns replay bit-identically:
 identical windows in, identical decisions out, every run.
 
-The four loops:
+The three loops:
 
 * :func:`admission_step` — AIMD on the
   :class:`~repro.resilience.gate.AdmissionGate` refill rate (and its
   priority reserve): additive increase while high-priority frames are
   being shed or capacity sits idle, multiplicative decrease the moment
   the backlog crosses ``backlog_high``.
-* :func:`compile_ahead_step` — grows the
-  :class:`~repro.parallel.pipeline.CompileAheadPipeline` depth while
-  the observed prefetch drop rate exceeds ``drop_threshold``, shrinks
-  it back when lookahead goes idle.
 * :func:`worker_step` — raises the
   :class:`~repro.parallel.shard.ShardedBatchRouter` worker target
   under backlog pressure, parks spare workers when drained.
@@ -40,11 +36,9 @@ from .signals import SignalWindow
 __all__ = [
     "ControlAction",
     "AdmissionState",
-    "CompileAheadState",
     "WorkerState",
     "BackoffState",
     "admission_step",
-    "compile_ahead_step",
     "worker_step",
     "backoff_step",
 ]
@@ -56,15 +50,15 @@ class ControlAction:
 
     Attributes:
         controller: which loop decided (``"admission"``,
-            ``"compile_ahead"``, ``"workers"``, ``"backoff"``).
+            ``"workers"``, ``"backoff"``).
         parameter: the actuator knob (``"rate"``, ``"reserve"``,
-            ``"depth"``, ``"worker_target"``, ``"backoff_scale"``).
+            ``"worker_target"``, ``"backoff_scale"``).
         old: the knob's value before the adjustment.
         new: the value the controller chose.
         reason: deterministic one-word cause (``"backlog"``,
             ``"high_priority_shed"``, ``"spare_capacity"``,
-            ``"drop_rate"``, ``"idle"``, ``"drained"``,
-            ``"breaker_half_open"``, ``"breaker_recovered"``).
+            ``"drained"``, ``"breaker_half_open"``,
+            ``"breaker_recovered"``).
     """
 
     controller: str
@@ -89,13 +83,6 @@ class AdmissionState:
     rate: float
     reserve: float
     reserve_cap: float = float("inf")
-
-
-@dataclass(frozen=True)
-class CompileAheadState:
-    """Compile-ahead state: the prefetch depth currently set."""
-
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -183,42 +170,6 @@ def admission_step(
         ),
         actions,
     )
-
-
-def compile_ahead_step(
-    policy: ControlPolicy, signals: SignalWindow, state: CompileAheadState
-) -> Tuple[CompileAheadState, List[ControlAction]]:
-    """Size the compile-ahead prefetch queue from its observed drop rate.
-
-    A drop means lookahead found a cold plan but the queue was full —
-    the prefetcher is under-provisioned, so the depth grows by one (up
-    to ``depth_max``).  A window with *no* prefetch activity at all
-    means lookahead is idle (warm caches, or the workload stopped);
-    the depth steps back toward ``depth_min`` so the queue stops
-    reserving pool capacity it no longer uses.  The drop counters are
-    incremented by
-    :meth:`~repro.parallel.pipeline.CompileAheadPipeline.prefetch` on
-    the submitting thread, so the signal is deterministic.
-    """
-    actions: List[ControlAction] = []
-    depth = state.depth
-    attempts = signals.prefetches + signals.prefetch_drops
-    if attempts > 0 and signals.drop_rate > policy.drop_threshold:
-        new_depth = min(policy.depth_max, depth + 1)
-        if new_depth != depth:
-            actions.append(
-                ControlAction(
-                    "compile_ahead", "depth", depth, new_depth, "drop_rate"
-                )
-            )
-            depth = new_depth
-    elif attempts == 0 and depth > policy.depth_min:
-        new_depth = max(policy.depth_min, depth - 1)
-        actions.append(
-            ControlAction("compile_ahead", "depth", depth, new_depth, "idle")
-        )
-        depth = new_depth
-    return CompileAheadState(depth=depth), actions
 
 
 def worker_step(

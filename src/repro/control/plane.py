@@ -12,7 +12,6 @@ controller              actuator
 ======================  ==========================================
 ``admission``           :meth:`AdmissionGate.update_policy`
                         (``rate``, ``reserve``)
-``compile_ahead``       :meth:`CompileAheadPipeline.set_depth`
 ``workers``             :meth:`ShardedBatchRouter.set_worker_target`
 ``backoff``             a ``retry_setter`` callback receiving
                         ``RetryPolicy.scaled(scale)``
@@ -39,11 +38,9 @@ from ..obs.events import emit
 from .controllers import (
     AdmissionState,
     BackoffState,
-    CompileAheadState,
     WorkerState,
     admission_step,
     backoff_step,
-    compile_ahead_step,
     worker_step,
 )
 from .policy import ControlPolicy
@@ -87,25 +84,19 @@ class ControlPlane:
         self._decisions: List[Dict[str, object]] = []
         # Actuators (None until bind()).
         self._gate = None
-        self._pipeline = None
         self._router = None
         self._breaker = None
         self._retry_base = None
         self._retry_setter: Optional[Callable] = None
         # Controller states (None until the matching actuator binds).
         self._admission: Optional[AdmissionState] = None
-        self._compile_ahead: Optional[CompileAheadState] = None
         self._workers: Optional[WorkerState] = None
         self._backoff: Optional[BackoffState] = None
-        # Cumulative pipeline counters at the previous tick, for deltas.
-        self._prev_prefetches = 0
-        self._prev_drops = 0
 
     # -- wiring ----------------------------------------------------------
     def bind(
         self,
         gate=None,
-        pipeline=None,
         router=None,
         breaker=None,
         retry_policy=None,
@@ -116,9 +107,6 @@ class ControlPlane:
         Args:
             gate: an :class:`~repro.resilience.gate.AdmissionGate`; its
                 current policy seeds the AIMD state.
-            pipeline: a
-                :class:`~repro.parallel.pipeline.CompileAheadPipeline`;
-                its current depth and counters seed the depth loop.
             router: a
                 :class:`~repro.parallel.shard.ShardedBatchRouter`; its
                 pool size becomes both the initial target and the hard
@@ -144,11 +132,6 @@ class ControlPlane:
                 reserve=gate.policy.reserve,
                 reserve_cap=cap,
             )
-        if pipeline is not None:
-            self._pipeline = pipeline
-            self._compile_ahead = CompileAheadState(depth=pipeline.depth)
-            self._prev_prefetches = pipeline.prefetches
-            self._prev_drops = pipeline.drops
         if router is not None:
             self._router = router
             self._workers = WorkerState(
@@ -182,24 +165,15 @@ class ControlPlane:
     def tick(self, queue_depth: int = 0) -> None:
         """Run one control tick: sample, window, decide, actuate.
 
-        Tick-time samples are taken synchronously on the calling
-        thread — the compile-ahead pipeline's cumulative counters as
-        deltas since the previous tick, and the breaker state — so the
-        resulting window, and therefore every decision, is replayable.
+        The breaker state is sampled synchronously on the calling
+        thread, so the resulting window, and therefore every decision,
+        is replayable.
         """
-        prefetches = drops = 0
-        if self._pipeline is not None:
-            prefetches = self._pipeline.prefetches - self._prev_prefetches
-            drops = self._pipeline.drops - self._prev_drops
-            self._prev_prefetches = self._pipeline.prefetches
-            self._prev_drops = self._pipeline.drops
         half_open = (
             self._breaker is not None and self._breaker.state == "half_open"
         )
         self.signals.close_tick(
             queue_depth=queue_depth,
-            prefetches=prefetches,
-            prefetch_drops=drops,
             breaker_half_open=half_open,
         )
         window = self.signals.window()
@@ -214,13 +188,6 @@ class ControlPlane:
                 self._gate.update_policy(
                     rate=self._admission.rate, reserve=self._admission.reserve
                 )
-                self._record(actions)
-        if self._compile_ahead is not None:
-            self._compile_ahead, actions = compile_ahead_step(
-                self.policy, window, self._compile_ahead
-            )
-            if actions:
-                self._pipeline.set_depth(self._compile_ahead.depth)
                 self._record(actions)
         if self._workers is not None:
             self._workers, actions = worker_step(

@@ -3,9 +3,9 @@
 :class:`ControlPolicy` bounds every closed-loop adjustment the control
 plane (:mod:`repro.control.plane`) is allowed to make.  The controllers
 themselves are pure functions; the policy is the *envelope* they act
-within — AIMD floor/ceiling on the admission refill rate, min/max on
-the compile-ahead depth and worker target, and the backoff scale used
-while the circuit breaker is probing.
+within — AIMD floor/ceiling on the admission refill rate, a floor on
+the worker target, and the backoff scale used while the circuit
+breaker is probing.
 
 Every bound is validated at construction, and every validation error
 names the offending field and its accepted range, so a mistyped
@@ -48,12 +48,6 @@ class ControlPolicy:
         backlog_low: queue depth at/below which the system is
             considered drained (probing up is safe, workers may scale
             down).
-        depth_min: smallest compile-ahead prefetch depth the loop may
-            set.
-        depth_max: largest compile-ahead prefetch depth it may set.
-        drop_threshold: prefetch drop rate (drops / attempts over the
-            window, in ``[0, 1]``) above which the compile-ahead depth
-            grows.
         worker_min: smallest shard worker target the loop may set.
         half_open_backoff_scale: factor (>= 1) applied to healing
             retry backoff while the circuit breaker is HALF_OPEN, so
@@ -71,9 +65,6 @@ class ControlPolicy:
     reserve_max: float = 4.0
     backlog_high: float = 24.0
     backlog_low: float = 4.0
-    depth_min: int = 1
-    depth_max: int = 8
-    drop_threshold: float = 0.25
     worker_min: int = 1
     half_open_backoff_scale: float = 2.0
 
@@ -123,19 +114,6 @@ class ControlPolicy:
             raise ValueError(
                 f"backlog_high ({self.backlog_high}) must be >= "
                 f"backlog_low ({self.backlog_low})"
-            )
-        if self.depth_min < 1:
-            raise ValueError(
-                f"depth_min must be >= 1, got {self.depth_min}"
-            )
-        if self.depth_max < self.depth_min:
-            raise ValueError(
-                f"depth_max ({self.depth_max}) must be >= "
-                f"depth_min ({self.depth_min})"
-            )
-        if not 0.0 <= self.drop_threshold <= 1.0:
-            raise ValueError(
-                f"drop_threshold must be in [0, 1], got {self.drop_threshold}"
             )
         if self.worker_min < 1:
             raise ValueError(

@@ -13,9 +13,8 @@ into two classes:
 * **decision signals** — event counts incremented on the submitting
   thread (admission decisions, healing retries, lost terminals,
   deadline expiries) plus values the control plane samples
-  synchronously at tick time (queue depth, compile-ahead
-  prefetch/drop counters, breaker state).  These are pure functions of
-  the seed and the arrival trace.
+  synchronously at tick time (queue depth, breaker state).  These
+  are pure functions of the seed and the arrival trace.
 * **advisory signals** — wall-clock serve latency and plan-cache
   hit/miss counts.  Cache events can arrive from worker threads at
   scheduler-dependent times and latency is wall-clock by definition,
@@ -51,9 +50,6 @@ class SignalWindow:
         lost_terminals: terminals abandoned after the retry budget.
         deadline_expired: healing loops cut short by a deadline budget.
         queue_depth: backlog depth sampled at the most recent tick.
-        prefetches: compile-ahead prefetches accepted in the window
-            (sampled from the pipeline's caller-thread counters).
-        prefetch_drops: compile-ahead prefetches dropped (queue full).
         breaker_half_open: True when the circuit breaker was HALF_OPEN
             at the most recent tick.
         cache_hits: advisory — plan-cache hits observed (may include
@@ -75,8 +71,6 @@ class SignalWindow:
     lost_terminals: int = 0
     deadline_expired: int = 0
     queue_depth: int = 0
-    prefetches: int = 0
-    prefetch_drops: int = 0
     breaker_half_open: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
@@ -92,12 +86,6 @@ class SignalWindow:
         """Total frames admitted in the window."""
         return self.admitted_high + self.admitted_low
 
-    @property
-    def drop_rate(self) -> float:
-        """Prefetch drop fraction over the window (0.0 when idle)."""
-        attempts = self.prefetches + self.prefetch_drops
-        return self.prefetch_drops / attempts if attempts else 0.0
-
 
 class _Bucket:
     """One tick's mutable accumulators (reset every tick)."""
@@ -105,8 +93,7 @@ class _Bucket:
     __slots__ = (
         "frames", "admitted_high", "admitted_low", "shed_high", "shed_low",
         "retries", "lost_terminals", "deadline_expired", "queue_depth",
-        "prefetches", "prefetch_drops", "breaker_half_open",
-        "cache_hits", "cache_misses", "serve_ns",
+        "breaker_half_open", "cache_hits", "cache_misses", "serve_ns",
     )
 
     def __init__(self):
@@ -119,8 +106,6 @@ class _Bucket:
         self.lost_terminals = 0
         self.deadline_expired = 0
         self.queue_depth = 0
-        self.prefetches = 0
-        self.prefetch_drops = 0
         self.breaker_half_open = False
         self.cache_hits = 0
         self.cache_misses = 0
@@ -206,23 +191,17 @@ class SignalAggregator(Observer):
     def close_tick(
         self,
         queue_depth: int = 0,
-        prefetches: int = 0,
-        prefetch_drops: int = 0,
         breaker_half_open: bool = False,
     ) -> None:
         """Seal the current bucket with tick-time samples; start a new one.
 
         Called by the control plane once per tick, on the submitting
         thread, with the values it sampled synchronously: the owner's
-        backlog depth, the compile-ahead pipeline's cumulative
-        prefetch/drop *deltas* since the previous tick, and whether the
-        breaker is currently HALF_OPEN.
+        backlog depth and whether the breaker is currently HALF_OPEN.
         """
         with self._lock:
             cur = self._current
             cur.queue_depth = queue_depth
-            cur.prefetches = prefetches
-            cur.prefetch_drops = prefetch_drops
             cur.breaker_half_open = breaker_half_open
             self._buckets.append(cur)
             self._current = _Bucket()
@@ -250,8 +229,6 @@ class SignalAggregator(Observer):
             lost_terminals=sum(b.lost_terminals for b in buckets),
             deadline_expired=sum(b.deadline_expired for b in buckets),
             queue_depth=last.queue_depth,
-            prefetches=sum(b.prefetches for b in buckets),
-            prefetch_drops=sum(b.prefetch_drops for b in buckets),
             breaker_half_open=last.breaker_half_open,
             cache_hits=sum(b.cache_hits for b in buckets),
             cache_misses=sum(b.cache_misses for b in buckets),

@@ -224,8 +224,8 @@ class QueueingSimulator:
     to off.  A ``control`` policy runs a
     :class:`~repro.control.plane.ControlPlane` over the slot loop: one
     deterministic control tick at the end of every slot, retuning the
-    gate's rate/reserve, the compile-ahead depth and the shard worker
-    target from the observed window (see ``docs/control_plane.md``).
+    gate's rate/reserve and the shard worker target from the observed
+    window (see ``docs/control_plane.md``).
 
     When the config carries a non-empty fault plan, every slot's frame
     is routed through :func:`~repro.faults.healing.route_with_healing`:
@@ -290,7 +290,6 @@ class QueueingSimulator:
                 base_retry = RetryPolicy()
             self.control.bind(
                 gate=self.gate,
-                pipeline=getattr(self.network, "pipeline", None),
                 router=getattr(self.network, "_sharded", None),
                 retry_policy=base_retry,
                 retry_setter=(
@@ -326,7 +325,6 @@ class QueueingSimulator:
         report = QueueingReport(n=self.n)
         obs = self.observer
         observed = obs is not None and obs.enabled
-        prefetch = getattr(self.network, "compile_ahead", 0) > 0
         pending = sorted(arrivals, key=lambda a: a.slot)
         backlog: List[Arrival] = []
         # Requeue budget per in-backlog arrival object; entries are
@@ -390,43 +388,12 @@ class QueueingSimulator:
             if observed:
                 emit(obs, "arrivals", "queue_depth", slot=slot,
                      depth=len(backlog), served=served_now)
-            if prefetch:
-                self._prefetch_next_slot(backlog, pending, idx, slot + 1)
             if self.control is not None:
                 self.control.maybe_tick(queue_depth=len(backlog))
             slot += 1
             report.backlog_per_slot.append(len(backlog))
         report.slots_run = slot
         return report
-
-    def _prefetch_next_slot(
-        self,
-        backlog: List[Arrival],
-        pending: List[Arrival],
-        idx: int,
-        next_slot: int,
-    ) -> None:
-        """Warm the plan cache for the frame the *next* slot will route.
-
-        Packing is a deterministic function of the backlog and the
-        arrivals admitted by then, so replaying it on a scratch list
-        predicts the next frame exactly; its plan then compiles on the
-        worker pool while this thread packs, verifies and accounts.
-        The speculative pack is paid only on parallel configurations
-        (``compile_ahead > 0``).
-        """
-        lookahead = list(backlog)
-        while idx < len(pending) and pending[idx].slot <= next_slot:
-            lookahead.append(pending[idx])
-            idx += 1
-        chosen = self._pack_frame(lookahead)
-        if not chosen:
-            return
-        dests: List[Optional[List[int]]] = [None] * self.n
-        for i in chosen:
-            r = lookahead[i].request
-            dests[r.source] = sorted(r.destinations)
-        self.network.prefetch(MulticastAssignment(self.n, dests))
 
     def close(self) -> None:
         """Release parallel-engine resources (worker threads); no-op on

@@ -422,8 +422,7 @@ class BRSMN:
             :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`) to
             share across networks (default: a private cache sized by
             the config's ``plan_cache_size``, wired to the config's
-            observer; concurrent when the config enables workers or
-            compile-ahead).
+            observer; concurrent when the config sets ``workers > 1``).
         observer: optional :class:`~repro.obs.events.Observer`
             (overrides the config's).
     """
@@ -453,18 +452,13 @@ class BRSMN:
             self.fault_plan = None
             self._injector = None
         self.workers = cfg.workers
-        self.compile_ahead = cfg.compile_ahead
         self.pool = None
-        self.pipeline = None
         self._sharded = None
-        parallel = cfg.engine == "fast" and (
-            cfg.workers > 1 or cfg.compile_ahead > 0
-        )
+        parallel = cfg.engine == "fast" and cfg.workers > 1
         if cfg.engine == "fast" or plan_cache is not None:
             if parallel:
                 # Deferred: repro.parallel imports core.fastplan.
                 from ..parallel import (
-                    CompileAheadPipeline,
                     ConcurrentPlanCache,
                     ShardedBatchRouter,
                     WorkerPool,
@@ -478,30 +472,9 @@ class BRSMN:
                     )
                 )
                 self.pool = WorkerPool(cfg.workers, observer=cfg.observer)
-                if cfg.workers > 1:
-                    self._sharded = ShardedBatchRouter(
-                        self.pool, observer=cfg.observer
-                    )
-                if cfg.compile_ahead > 0:
-                    from .fastplan import compile_frame_plan  # deferred
-
-                    fault_plan = self.fault_plan
-                    self.pipeline = CompileAheadPipeline(
-                        self.plan_cache,
-                        self.pool,
-                        depth=cfg.compile_ahead,
-                        compile_fn=(
-                            compile_frame_plan
-                            if fault_plan is None
-                            else (
-                                lambda a: compile_frame_plan(
-                                    a, fault_plan=fault_plan
-                                )
-                            )
-                        ),
-                        extra_key=self._plan_key,
-                        observer=cfg.observer,
-                    )
+                self._sharded = ShardedBatchRouter(
+                    self.pool, observer=cfg.observer
+                )
             else:
                 from .fastplan import PlanCache  # deferred: import cycle
 
@@ -787,19 +760,6 @@ class BRSMN:
             for fault, outputs in list(plan.fault_hits) + plan.flaky_hits(attempt)
         ]
 
-    def prefetch(self, assignment: MulticastAssignment) -> bool:
-        """Warm the plan cache for an upcoming assignment, off-thread.
-
-        A no-op (returns False) unless the network was configured with
-        ``compile_ahead > 0``; otherwise delegates to the
-        :class:`~repro.parallel.pipeline.CompileAheadPipeline` — see
-        its :meth:`~repro.parallel.pipeline.CompileAheadPipeline.prefetch`
-        for the enqueue/drop semantics.
-        """
-        if self.pipeline is None:
-            return False
-        return self.pipeline.prefetch(assignment)
-
     def warm_plans(self, assignments: Sequence[MulticastAssignment]) -> int:
         """Compile many assignments into the plan cache in one call.
 
@@ -824,20 +784,14 @@ class BRSMN:
         return len(plans)
 
     def close(self) -> None:
-        """Drain pending prefetches and stop the worker pool.
+        """Stop the worker pool.
 
         Idempotent, and a no-op on non-parallel configurations; a later
-        routing call restarts the pools transparently, so ``close`` is
+        routing call restarts the pool transparently, so ``close`` is
         a courtesy for prompt teardown, not a lifecycle obligation.
-        The shutdown runs in a ``finally`` clause so a raising pipeline
-        drain can never leak executor threads.
         """
-        try:
-            if self.pipeline is not None:
-                self.pipeline.drain()
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown()
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def route_batch(
         self,

@@ -59,12 +59,6 @@ class NetworkConfig:
             memoises plans in a thread-safe
             :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
             with single-flight compile deduplication.
-        compile_ahead: fast engine — depth of the
-            :class:`~repro.parallel.pipeline.CompileAheadPipeline`
-            prefetch queue (0 disables it).  Session facades with
-            lookahead (:meth:`~repro.core.fabric.MulticastFabric.run`,
-            the queueing simulator) then compile upcoming frames' plans
-            on the worker pool while the current frame routes.
         observer: optional :class:`~repro.obs.events.Observer` receiving
             frame lifecycle events, per-level profiling spans and
             plan-cache events (unrolled implementation).
@@ -95,9 +89,9 @@ class NetworkConfig:
             :class:`~repro.control.policy.ControlPolicy` — the session
             facades then run a
             :class:`~repro.control.plane.ControlPlane` that retunes
-            the admission rate (AIMD), compile-ahead depth, shard
-            worker target and retry backoff from the observed event
-            stream, one deterministic tick per submission / slot.
+            the admission rate (AIMD), shard worker target and retry
+            backoff from the observed event stream, one deterministic
+            tick per submission / slot.
         snapshot_path: optional filesystem path —
             :meth:`~repro.core.fabric.MulticastFabric.close` then
             writes a :class:`~repro.resilience.snapshot.FabricSnapshot`
@@ -112,7 +106,6 @@ class NetworkConfig:
     engine: str = "reference"
     plan_cache_size: int = 256
     workers: int = 1
-    compile_ahead: int = 0
     observer: Optional[object] = field(default=None, compare=False)
     fault_plan: Optional[object] = None
     deadline_ms: Optional[float] = None
@@ -143,13 +136,9 @@ class NetworkConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.compile_ahead < 0:
+        if self.workers > 1 and self.engine != "fast":
             raise ValueError(
-                f"compile_ahead must be >= 0, got {self.compile_ahead}"
-            )
-        if (self.workers > 1 or self.compile_ahead > 0) and self.engine != "fast":
-            raise ValueError(
-                "workers > 1 / compile_ahead > 0 require engine='fast' "
+                "workers > 1 requires engine='fast' "
                 "(the reference engine is a per-switch teaching "
                 "simulation; parallelising it would only obscure it)"
             )
@@ -213,7 +202,7 @@ class NetworkConfig:
         The ergonomic way to vary a frozen config::
 
             base = NetworkConfig(256, engine="fast")
-            tuned = base.derive(workers=4, compile_ahead=2)
+            tuned = base.derive(workers=4, plan_cache_size=1024)
 
         Args:
             **overrides: any :class:`NetworkConfig` field.  Unknown

@@ -26,7 +26,7 @@ once it trips.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List
 
@@ -142,9 +142,9 @@ class MulticastFabric:
     With ``control`` on the config, a
     :class:`~repro.control.plane.ControlPlane` watches the fabric's
     event stream and retunes the bound actuators (admission rate and
-    reserve, compile-ahead depth, shard worker target, retry backoff)
-    once per submission tick; decisions are logged on
-    :attr:`MulticastFabric.control` and emitted as ``control`` events.
+    reserve, shard worker target, retry backoff) once per submission
+    tick; decisions are logged on :attr:`MulticastFabric.control` and
+    emitted as ``control`` events.
     With ``snapshot_path``, :meth:`close` writes a warm-restart
     :class:`~repro.resilience.snapshot.FabricSnapshot` there and the
     constructor restores from an existing file (a missing file is a
@@ -232,7 +232,6 @@ class MulticastFabric:
                 base_retry = RetryPolicy()
             self.control.bind(
                 gate=self.gate,
-                pipeline=getattr(self.network, "pipeline", None),
                 router=getattr(self.network, "_sharded", None),
                 breaker=self.breaker,
                 retry_policy=base_retry,
@@ -390,47 +389,10 @@ class MulticastFabric:
             kind = "readmitted" if after.value == "healthy" else after.value
             emit(self.observer, "fabric", kind)
 
-    def prefetch(self, assignment: MulticastAssignment) -> bool:
-        """Warm the primary network's plan cache for an upcoming frame.
-
-        Delegates to :meth:`~repro.core.brsmn.BRSMN.prefetch`; a no-op
-        (False) unless the config enables ``compile_ahead``.  Callers
-        with their own lookahead (e.g. a scheduler that knows the next
-        slot's frame) use this directly; :meth:`run` does it for you.
-        """
-        prefetch = getattr(self.network, "prefetch", None)
-        if prefetch is None:
-            return False
-        return prefetch(assignment)
-
     def run(self, frames: Iterable[MulticastAssignment]) -> FabricStats:
-        """Route a whole frame sequence; returns the session statistics.
-
-        With ``compile_ahead > 0`` in the config, the run loop holds a
-        sliding lookahead window of that depth over the sequence: each
-        upcoming frame is prefetched — its plan compiles on the worker
-        pool — while earlier frames route on this thread, so a stream
-        of cold assignments no longer stalls for a full compile per
-        frame.  Frame order, verification, statistics and results are
-        identical to the sequential loop; lookahead only moves compile
-        work off the critical path (and consumes generator inputs up to
-        ``compile_ahead`` frames early).
-        """
-        lookahead = getattr(self.network, "compile_ahead", 0)
-        if lookahead <= 0:
-            for assignment in frames:
-                self.submit(assignment)
-            return self.stats
-        window: deque = deque()
+        """Route a whole frame sequence; returns the session statistics."""
         for assignment in frames:
-            if window:
-                # Not the frame we are about to route: warm it.
-                self.prefetch(assignment)
-            window.append(assignment)
-            if len(window) > lookahead:
-                self.submit(window.popleft())
-        while window:
-            self.submit(window.popleft())
+            self.submit(assignment)
         return self.stats
 
     def close(self) -> None:

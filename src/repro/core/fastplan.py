@@ -724,8 +724,7 @@ class PlanCache:
         self, assignment: MulticastAssignment, extra_key: str = ""
     ) -> bool:
         """True when the assignment's plan is cached (no LRU refresh,
-        no counter or event side effects) — the compile-ahead
-        pipeline's cheap pre-check."""
+        no counter or event side effects)."""
         key = self.make_key(assignment, extra_key)
         with self._lock:
             return key in self._plans

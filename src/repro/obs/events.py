@@ -73,10 +73,9 @@ class Event:
     ``fabric`` — primary-plane transitions ``quarantined``,
     ``probation``, ``readmitted``: no fields.
 
-    ``parallel.workers`` — ``start`` / ``done`` of a pool task, and
-    ``parallel.pipeline`` — ``enqueue`` / ``drop`` of a compile-ahead
-    prefetch: ``task`` (``"shard"`` / ``"compile"``), then ``workers``,
-    ``busy`` and ``queue_depth`` after the event.
+    ``parallel.workers`` — ``start`` / ``done`` of a pool task:
+    ``task`` (``"shard"``), then ``workers`` and ``busy`` after the
+    event.
 
     ``parallel.shard`` — ``shard_requeued`` / ``shard_inline``:
     ``frames`` of the recovered shard.

@@ -95,9 +95,7 @@ _CACHE = _on(
     "fastplan.plan_cache", "hit", "miss", "evict", "clear", "coalesced"
 )
 _QUEUE = _on("arrivals", "queue_depth")
-_POOL = _on("parallel.workers", "start", "done") + _on(
-    "parallel.pipeline", "enqueue", "drop"
-)
+_POOL = _on("parallel.workers", "start", "done")
 _HEAL = "faults.healing"
 _GATE = "resilience.gate"
 _BREAKER = _on("resilience.breaker", *_BREAKER_STATES)
@@ -158,9 +156,6 @@ FAMILIES: Tuple[Family, ...] = (
     Family("repro_parallel_workers_busy", "gauge",
            "Workers currently running a task (utilisation numerator).",
            _POOL, "busy"),
-    Family("repro_parallel_compile_queue_depth", "gauge",
-           "Compile-ahead prefetches pending on the worker pool.",
-           _POOL, "queue_depth"),
     Family("repro_parallel_coalesced_total", "counter",
            "Plan-cache misses coalesced onto an in-flight compile "
            "(single-flight deduplication).",
@@ -226,9 +221,6 @@ FAMILIES: Tuple[Family, ...] = (
                    "Admission refill rate currently set by the AIMD loop."),
     _control_gauge("repro_control_admission_reserve", "reserve",
                    "Priority token reserve currently set by the AIMD loop."),
-    _control_gauge("repro_control_compile_ahead_depth", "depth",
-                   "Compile-ahead prefetch depth currently set by the control "
-                   "plane."),
     _control_gauge("repro_control_worker_target", "worker_target",
                    "Shard worker target currently set by the control plane."),
     _control_gauge("repro_control_backoff_scale", "backoff_scale",

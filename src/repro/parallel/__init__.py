@@ -19,13 +19,7 @@ subpackage scales that service across a worker pool:
   ``(batch, n)`` payload matrix into contiguous zero-copy row shards,
   routes each shard on the pool, and merges the results
   deterministically (shard boundaries depend only on the batch shape
-  and worker count, never on timing);
-* :class:`~repro.parallel.pipeline.CompileAheadPipeline` — overlaps
-  :class:`~repro.core.fastplan.FramePlan` compilation with routing of
-  already-compiled frames: a bounded prefetch queue fed by
-  :meth:`~repro.core.fabric.MulticastFabric.run` lookahead (and the
-  queueing simulator's next-slot packing) warms the cache on pool
-  threads while the submitting thread routes.
+  and worker count, never on timing).
 
 Threads are the only sharding backend.  Once a plan is compiled a
 frame is one gather, and ``np.take`` on numeric dtypes releases the
@@ -34,8 +28,7 @@ to spread across cores.
 
 Everything is configured through
 :class:`~repro.core.config.NetworkConfig` — ``workers=`` sizes the
-pool, ``compile_ahead=`` bounds the prefetch queue — and threaded
-through :class:`~repro.core.brsmn.BRSMN`,
+pool — and threaded through :class:`~repro.core.brsmn.BRSMN`,
 :class:`~repro.core.fabric.MulticastFabric`,
 :class:`~repro.core.arrivals.QueueingSimulator` and the
 ``repro stats --workers N`` CLI.  See ``docs/performance.md`` for
@@ -44,12 +37,10 @@ threads despite the GIL) and for the crash and determinism contract.
 """
 
 from .plan_cache import ConcurrentPlanCache
-from .pipeline import CompileAheadPipeline
 from .shard import ShardedBatchRouter, shard_bounds
 from .workers import WorkerPool
 
 __all__ = [
-    "CompileAheadPipeline",
     "ConcurrentPlanCache",
     "ShardedBatchRouter",
     "WorkerPool",

@@ -67,7 +67,7 @@ class ConcurrentPlanCache:
     Drop-in for :class:`~repro.core.fastplan.PlanCache` (same ``get`` /
     ``contains`` / ``clear`` surface, same cache keys via
     :meth:`make_key`), used by :class:`~repro.core.brsmn.BRSMN`
-    whenever the config enables workers or compile-ahead.
+    whenever the config sets ``workers > 1``.
 
     Capacity is partitioned per stripe (``ceil(maxsize / stripes)``
     plans each), so eviction is LRU *within a stripe* — the standard
@@ -151,8 +151,8 @@ class ConcurrentPlanCache:
         self, assignment: MulticastAssignment, extra_key: str = ""
     ) -> bool:
         """True when the plan is cached *or already compiling* (no LRU
-        refresh, no counters) — in-flight counts because a prefetch
-        scheduled on top of it would only coalesce, not help."""
+        refresh, no counters) — a lookup issued now would be served
+        without starting a second compile."""
         key = self.make_key(assignment, extra_key)
         stripe = self._stripe(key)
         with stripe.lock:

@@ -10,8 +10,7 @@ Object-dtype payloads do hold the GIL; see ``docs/performance.md`` for
 when more workers stop paying.
 
 Every task emits a pair of ``parallel.workers`` events (``start`` /
-``done``) carrying the pool size, the busy-worker
-count and the compile-ahead queue depth, which
+``done``) carrying the pool size and the busy-worker count, which
 :class:`~repro.obs.metrics_observer.MetricsObserver` folds into the
 ``repro_parallel_*`` metric families.  With no observer (or a disabled
 one) a task pays two lock-protected counter bumps and nothing else.
@@ -32,17 +31,15 @@ class WorkerPool:
     """A lazily-started, instrumented thread pool of fixed size.
 
     Args:
-        workers: pool size (>= 1).  A 1-worker pool is valid — the
-            sharded router then routes inline and only compile-ahead
-            uses the thread.
+        workers: pool size (>= 1).  :class:`~repro.core.brsmn.BRSMN`
+            builds a pool only for ``workers > 1``; a 1-worker pool is
+            still valid (the sharded router then routes inline).
         observer: optional :class:`~repro.obs.events.Observer`
             receiving ``start`` / ``done`` events.
 
     The underlying executor is created on first :meth:`submit`, so
     configuring ``workers=4`` costs nothing until parallel work is
-    actually dispatched.  :attr:`depth_fn` may be pointed at a queue
-    depth source (the compile-ahead pipeline registers its pending
-    count) so emitted events carry the current prefetch backlog.
+    actually dispatched.
     """
 
     def __init__(self, workers: int, observer: Optional[object] = None):
@@ -50,7 +47,6 @@ class WorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.observer = observer
-        self.depth_fn: Optional[Callable[[], int]] = None
         self._lock = threading.Lock()
         self._busy = 0
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -60,10 +56,6 @@ class WorkerPool:
         """Tasks currently executing (the utilisation numerator)."""
         with self._lock:
             return self._busy
-
-    def _depth(self) -> int:
-        fn = self.depth_fn
-        return fn() if fn is not None else 0
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -78,8 +70,8 @@ class WorkerPool:
         """Dispatch ``fn(*args, **kwargs)`` to the pool.
 
         Args:
-            kind: task label for observability (``"shard"`` or
-                ``"compile"``); becomes the ``kind`` label of
+            kind: task label for observability (the sharded router
+                uses ``"shard"``); becomes the ``kind`` label of
                 ``repro_parallel_tasks_total``.
 
         Returns:
@@ -96,8 +88,7 @@ class WorkerPool:
             busy = self._busy
         if observed:
             emit(obs, "parallel.workers", "start", task=kind,
-                 workers=self.workers, busy=busy,
-                 queue_depth=self._depth())
+                 workers=self.workers, busy=busy)
         try:
             return fn(*args, **kwargs)
         finally:
@@ -106,8 +97,7 @@ class WorkerPool:
                 busy = self._busy
             if observed:
                 emit(obs, "parallel.workers", "done", task=kind,
-                     workers=self.workers, busy=busy,
-                     queue_depth=self._depth())
+                     workers=self.workers, busy=busy)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the pool.  Idempotent; a later :meth:`submit` restarts it."""

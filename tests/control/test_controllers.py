@@ -5,13 +5,11 @@ import pytest
 from repro.control import (
     AdmissionState,
     BackoffState,
-    CompileAheadState,
     ControlPolicy,
     SignalWindow,
     WorkerState,
     admission_step,
     backoff_step,
-    compile_ahead_step,
     worker_step,
 )
 
@@ -121,41 +119,6 @@ class TestAdmissionStep:
         )
 
 
-class TestCompileAheadStep:
-    def test_drop_rate_grows_depth(self):
-        state = CompileAheadState(depth=2)
-        new, actions = compile_ahead_step(
-            POLICY, window(prefetches=1, prefetch_drops=1), state
-        )
-        assert new.depth == 3
-        assert [a.reason for a in actions] == ["drop_rate"]
-
-    def test_depth_capped_at_max(self):
-        state = CompileAheadState(depth=POLICY.depth_max)
-        new, actions = compile_ahead_step(
-            POLICY, window(prefetch_drops=5), state
-        )
-        assert new.depth == POLICY.depth_max and actions == []
-
-    def test_low_drop_rate_holds(self):
-        state = CompileAheadState(depth=2)
-        new, actions = compile_ahead_step(
-            POLICY, window(prefetches=9, prefetch_drops=1), state
-        )
-        assert new.depth == 2 and actions == []
-
-    def test_idle_window_shrinks_depth(self):
-        state = CompileAheadState(depth=3)
-        new, actions = compile_ahead_step(POLICY, window(), state)
-        assert new.depth == 2
-        assert [a.reason for a in actions] == ["idle"]
-
-    def test_idle_never_below_min(self):
-        state = CompileAheadState(depth=POLICY.depth_min)
-        new, actions = compile_ahead_step(POLICY, window(), state)
-        assert new.depth == POLICY.depth_min and actions == []
-
-
 class TestWorkerStep:
     def test_backlog_raises_target(self):
         state = WorkerState(target=2, maximum=4)
@@ -225,14 +188,10 @@ class TestAdvisorySignalsIgnored:
         base = window(queue_depth=8)
         noisy = window(queue_depth=8, **advisory)
         a_state = AdmissionState(rate=1.5, reserve=0.5)
-        c_state = CompileAheadState(depth=2)
         w_state = WorkerState(target=2, maximum=4)
         b_state = BackoffState(scale=1.0)
         assert admission_step(POLICY, base, a_state) == admission_step(
             POLICY, noisy, a_state
-        )
-        assert compile_ahead_step(POLICY, base, c_state) == compile_ahead_step(
-            POLICY, noisy, c_state
         )
         assert worker_step(POLICY, base, w_state) == worker_step(
             POLICY, noisy, w_state

@@ -7,12 +7,7 @@ import pytest
 from repro.control import ControlPlane, ControlPolicy, SignalAggregator
 from repro.obs import MetricsObserver, Observer
 from repro.obs.events import Event
-from repro.parallel import (
-    CompileAheadPipeline,
-    ConcurrentPlanCache,
-    ShardedBatchRouter,
-    WorkerPool,
-)
+from repro.parallel import ShardedBatchRouter, WorkerPool
 from repro.resilience import AdmissionGate, AdmissionPolicy
 from repro.faults import RetryPolicy
 
@@ -148,15 +143,6 @@ class TestPipelineAndWorkerActuation:
         p = WorkerPool(3)
         yield p
         p.shutdown()
-
-    def test_idle_window_shrinks_pipeline_depth(self, pool):
-        pipeline = CompileAheadPipeline(
-            ConcurrentPlanCache(maxsize=8), pool, depth=3
-        )
-        plane = ControlPlane(ControlPolicy())
-        plane.bind(pipeline=pipeline)
-        plane.tick()
-        assert pipeline.depth == 2
 
     def test_drained_queue_parks_workers(self, pool):
         router = ShardedBatchRouter(pool)

@@ -11,7 +11,6 @@ class TestDefaults:
         assert p.tick_frames == 1
         assert p.window_ticks == 4
         assert p.rate_floor <= p.rate_ceiling
-        assert p.depth_min <= p.depth_max
         assert p.backlog_low <= p.backlog_high
 
     def test_frozen(self):
@@ -38,10 +37,6 @@ class TestValidationNamesTheField:
             ({"backlog_high": -1.0}, "backlog_high"),
             ({"backlog_low": -1.0}, "backlog_low"),
             ({"backlog_high": 1.0, "backlog_low": 2.0}, "backlog_high"),
-            ({"depth_min": 0}, "depth_min"),
-            ({"depth_min": 4, "depth_max": 2}, "depth_max"),
-            ({"drop_threshold": -0.1}, "drop_threshold"),
-            ({"drop_threshold": 1.1}, "drop_threshold"),
             ({"worker_min": 0}, "worker_min"),
             ({"half_open_backoff_scale": 0.5}, "half_open_backoff_scale"),
         ],

@@ -214,6 +214,27 @@ class TestMetricsOutPaths:
         assert "Traceback" not in err
 
 
+class TestStatsParallel:
+    def test_parallel_line(self, capsys):
+        rc = main(
+            ["stats", "--n", "16", "--frames", "6", "--workers", "2",
+             "--no-profile"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        parallel = [ln for ln in lines if ln.startswith("parallel:")]
+        assert len(parallel) == 1
+        assert parallel[0].startswith("parallel: 2 workers, ")
+        assert parallel[0].endswith(" coalesced compiles")
+
+    def test_compile_ahead_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--n", "8", "--frames", "3",
+                  "--compile-ahead", "2"])
+        assert exc.value.code == 2
+        assert "--compile-ahead" in capsys.readouterr().err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

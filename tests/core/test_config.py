@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.control import ControlPolicy
 from repro.core.brsmn import BRSMN
 from repro.core.config import IMPLEMENTATIONS, ENGINES, NetworkConfig
 from repro.core.fabric import MulticastFabric
@@ -64,6 +65,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="executor"):
             NetworkConfig(8, engine="fast").derive(executor="thread")
         assert "executor" not in {f.name for f in fields(NetworkConfig)}
+
+    def test_compile_ahead_removed(self):
+        """The removed compile-ahead knobs are unknown fields."""
+        with pytest.raises(TypeError, match="compile_ahead"):
+            NetworkConfig(8, engine="fast", compile_ahead=2)
+        with pytest.raises(ValueError, match="compile_ahead"):
+            NetworkConfig(8, engine="fast").derive(compile_ahead=2)
+        assert "compile_ahead" not in {f.name for f in fields(NetworkConfig)}
+        for name in ("depth_min", "depth_max", "drop_threshold"):
+            with pytest.raises(TypeError, match=name):
+                ControlPolicy(**{name: 4})
 
     def test_frozen(self):
         cfg = NetworkConfig(8)

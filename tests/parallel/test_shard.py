@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import assignments, make_random_assignment
 from repro.core.fastplan import compile_frame_plan
+from repro.obs.events import Observer
 from repro.parallel import ShardedBatchRouter, WorkerPool, shard_bounds
 
 
@@ -96,3 +98,24 @@ def test_shard_failure_propagates(pool):
     mat = np.zeros((64, 16))
     with pytest.raises(RuntimeError, match="shard blew up"):
         ShardedBatchRouter(pool).apply(ExplodingPlan(), mat)
+
+
+def test_worker_events_carry_pool_fields():
+    class Recorder(Observer):
+        def __init__(self):
+            self.events = []
+            self._lock = threading.Lock()
+
+        def on_event(self, event):
+            with self._lock:
+                self.events.append(event)
+
+    obs = Recorder()
+    plan = compile_frame_plan(make_random_assignment(16, random.Random(9)))
+    with WorkerPool(2, observer=obs) as workers:
+        ShardedBatchRouter(workers).apply(plan, np.zeros((8, 16)))
+    events = [e for e in obs.events if e.stage == "parallel.workers"]
+    assert sorted(e.kind for e in events) == ["done", "start"]
+    for e in events:
+        assert set(e.fields) == {"task", "workers", "busy"}
+        assert (e.fields["task"], e.fields["workers"]) == ("shard", 2)

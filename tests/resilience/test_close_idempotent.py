@@ -86,13 +86,3 @@ class TestBRSMNDoubleClose:
         net.route(frames(count=1)[0])
         net.close()
         net.close()
-
-    def test_compile_ahead(self):
-        net = BRSMN(
-            NetworkConfig(16, engine="fast", workers=2, compile_ahead=2)
-        )
-        for a in frames(count=4):
-            net.prefetch(a)
-            net.route(a)
-        net.close()
-        net.close()
