@@ -82,13 +82,10 @@ from .control import (
 from .core import (
     BRSMN,
     BinarySplittingNetwork,
-    FabricStats,
     FeedbackBRSMN,
     Message,
     MulticastAssignment,
-    MulticastFabric,
     NetworkConfig,
-    QueueingSimulator,
     RoutingResult,
     Tag,
     TagTree,
@@ -98,6 +95,8 @@ from .core import (
     route_resilient,
     verify_result,
 )
+from .core.arrivals import QueueingSimulator
+from .core.fabric import FabricStats, MulticastFabric
 from .faults import (
     DegradedResult,
     FaultKind,

@@ -50,6 +50,7 @@ from ..errors import ReproError
 from ..obs.events import emit
 from .config import ClusterConfig
 from .replica import FabricReplica, ReplicaState, is_shed
+from .restart import RollingRestart
 from .router import ClusterRouter
 
 __all__ = ["ClusterStats", "ClusterUnavailableError", "FabricCluster"]
@@ -204,8 +205,6 @@ class FabricCluster:
         """Attach (and return) a
         :class:`~repro.cluster.restart.RollingRestart` campaign driven
         by this cluster's frame clock."""
-        from .restart import RollingRestart  # deferred: cycle
-
         self._restart = RollingRestart(
             self, drain_frames=drain_frames, snapshot_dir=snapshot_dir
         )

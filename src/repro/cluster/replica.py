@@ -26,6 +26,7 @@ import enum
 
 from ..core.fabric import MulticastFabric
 from ..errors import ReproError
+from ..resilience.gate import ShedFrame
 
 __all__ = ["FabricReplica", "ReplicaDownError", "ReplicaState"]
 
@@ -38,8 +39,6 @@ def is_shed(result) -> bool:
     ``ok`` but *was served* (fault losses are accounted, not retried on
     a sibling: the siblings share the same fault plan).
     """
-    from ..resilience.gate import ShedFrame  # deferred: cycle
-
     return isinstance(result, ShedFrame)
 
 

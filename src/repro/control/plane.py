@@ -32,9 +32,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
-from ..obs.events import emit
+from ..obs.events import CompositeObserver, emit
 from .controllers import (
     AdmissionState,
     BackoffState,
@@ -46,7 +47,7 @@ from .controllers import (
 from .policy import ControlPolicy
 from .signals import SignalAggregator
 
-__all__ = ["ControlPlane"]
+__all__ = ["ControlPlane", "control_for"]
 
 _LOG_FORMAT_VERSION = 1
 
@@ -62,8 +63,8 @@ class ControlPlane:
             observer — the plane's own signal aggregator is separate
             and always on).
 
-    Lifecycle: the owner (fabric or simulator) constructs the plane,
-    splices :attr:`signals` in front of its observer, :meth:`bind`\\ s
+    Lifecycle: the owner (fabric or simulator) gets the plane and its
+    spliced config from :func:`control_for`, :meth:`bind`\\ s
     whichever actuators it built, then calls :meth:`maybe_tick` once
     per service opportunity (submission / slot) on the submitting
     thread.  Only bound actuators are controlled; everything else is
@@ -250,3 +251,19 @@ class ControlPlane:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def control_for(cfg):
+    """The control plane ``cfg`` asks for, and the config to build under it.
+
+    Returns ``(None, cfg)`` when ``cfg.control`` is None.  Otherwise the
+    plane's signal aggregator is spliced in FRONT of the caller's
+    observer, so it sees every event the owner's network and gate emit;
+    control events go to the caller's observer only.
+    """
+    if cfg.control is None:
+        return None, cfg
+    plane = ControlPlane(cfg.control, observer=cfg.observer)
+    return plane, replace(
+        cfg, observer=CompositeObserver(plane.signals, cfg.observer)
+    )

@@ -22,12 +22,6 @@ from .admission import (
     route_requests,
     schedule_frames,
 )
-from .arrivals import (
-    Arrival,
-    QueueingReport,
-    QueueingSimulator,
-    poisson_arrivals,
-)
 from .brsmn import (
     BRSMN,
     BatchRoutingResult,
@@ -37,7 +31,6 @@ from .brsmn import (
 )
 from .bsn import BinarySplittingNetwork, BsnFrameStats, make_bsn_cells
 from .config import NetworkConfig
-from .fabric import FabricStats, MulticastFabric
 from .fastplan import (
     FramePlan,
     PlanCache,
@@ -82,10 +75,6 @@ from .verification import (
 )
 
 __all__ = [
-    "Arrival",
-    "QueueingReport",
-    "QueueingSimulator",
-    "poisson_arrivals",
     "Request",
     "ScheduleOutcome",
     "conflicts",
@@ -101,8 +90,6 @@ __all__ = [
     "BsnFrameStats",
     "make_bsn_cells",
     "NetworkConfig",
-    "FabricStats",
-    "MulticastFabric",
     "FramePlan",
     "PlanCache",
     "compile_frame_plan",

@@ -30,15 +30,19 @@ healing retries through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..control.plane import control_for
 from ..errors import InvalidAssignmentError
+from ..faults import healing
 from ..obs.events import emit
 from ..rbn.permutations import check_network_size
+from ..resilience.budget import DeadlineBudget
+from ..resilience.gate import AdmissionGate
 from .admission import Request, conflicts
 from .config import _resolve_config
 from .multicast import MulticastAssignment
@@ -251,52 +255,33 @@ class QueueingSimulator:
             )
         if max_requeues < 0:
             raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
-        if cfg.control is not None:
-            from ..control.plane import ControlPlane  # deferred: cycle
-            from ..obs.events import CompositeObserver
-
-            # Splice the plane's signal aggregator in front of the
-            # caller's observer so it sees every event the slot loop
-            # emits; control events go to the caller's observer only.
-            self.control = ControlPlane(cfg.control, observer=cfg.observer)
-            cfg = replace(
-                cfg,
-                observer=CompositeObserver(self.control.signals, cfg.observer),
-            )
-        else:
-            self.control = None
+        self.control, cfg = control_for(cfg)
         self.n = cfg.n
         self.policy = policy
         self.network = build_network(cfg)
         self.observer = cfg.observer
         self.max_slots = max_slots
         self.max_requeues = max_requeues
-        self.retry_policy = retry_policy
         self._fault_aware = (
             cfg.fault_plan is not None and not cfg.fault_plan.is_empty
         )
+        self.retry_policy = (
+            healing.RetryPolicy()
+            if retry_policy is None and self._fault_aware
+            else retry_policy
+        )
         self.deadline_ms = cfg.deadline_ms
-        if cfg.admission is not None:
-            from ..resilience.gate import AdmissionGate  # deferred: cycle
-
-            self.gate = AdmissionGate(cfg.admission, observer=cfg.observer)
-        else:
-            self.gate = None
+        self.gate = (
+            None
+            if cfg.admission is None
+            else AdmissionGate(cfg.admission, observer=cfg.observer)
+        )
         if self.control is not None:
-            base_retry = self.retry_policy
-            if base_retry is None and self._fault_aware:
-                from ..faults.healing import RetryPolicy  # deferred: cycle
-
-                base_retry = RetryPolicy()
             self.control.bind(
                 gate=self.gate,
                 router=getattr(self.network, "_sharded", None),
-                retry_policy=base_retry,
-                retry_setter=(
-                    None
-                    if base_retry is None
-                    else lambda p: setattr(self, "retry_policy", p)
-                ),
+                retry_policy=self.retry_policy,
+                retry_setter=lambda p: setattr(self, "retry_policy", p),
             )
 
     def _pack_frame(self, backlog: List[Arrival]) -> List[int]:
@@ -362,7 +347,7 @@ class QueueingSimulator:
                     payloads[r.source] = r.payload
                 frame = MulticastAssignment(self.n, dests)
                 if self._fault_aware:
-                    served_now = self._serve_healed(
+                    served_now, requeues = self._serve_healed(
                         frame, payloads, backlog, chosen,
                         slot, report, requeue_counts,
                     )
@@ -378,10 +363,11 @@ class QueueingSimulator:
                     for i in chosen:
                         report.waits.append(slot - backlog[i].slot)
                         report.served += 1
-                    served_now = len(chosen)
-                    backlog = [
-                        a for k, a in enumerate(backlog) if k not in set(chosen)
-                    ]
+                    served_now, requeues = len(chosen), []
+                taken = set(chosen)
+                backlog = [
+                    a for k, a in enumerate(backlog) if k not in taken
+                ] + requeues
                 report.serve_ms.append(
                     (perf_counter_ns() - serve_start) / 1e6
                 )
@@ -404,7 +390,7 @@ class QueueingSimulator:
 
     def _serve_healed(
         self, frame, payloads, backlog, chosen, slot, report, requeue_counts
-    ) -> int:
+    ) -> Tuple[int, List[Arrival]]:
         """Serve one slot's frame through the healing loop.
 
         Requests whose terminals the in-slot retries could not reach are
@@ -412,22 +398,19 @@ class QueueingSimulator:
         terminals, original arrival slot) up to ``max_requeues`` times,
         then abandoned.  With ``deadline_ms`` on the config, a fresh
         :class:`~repro.resilience.budget.DeadlineBudget` bounds the
-        slot's retries.  Mutates ``backlog`` in place; returns the
-        number of requests fully served this slot.
+        slot's retries.  Returns the number of requests fully served
+        this slot and the reduced requests to append to the backlog.
         """
-        from ..faults.healing import route_with_healing  # deferred: cycle
-
-        budget = None
-        if self.deadline_ms is not None:
-            from ..resilience.budget import DeadlineBudget  # deferred: cycle
-
-            budget = DeadlineBudget(self.deadline_ms)
-        result = route_with_healing(
+        result = healing.route_with_healing(
             self.network,
             frame,
             payloads=payloads,
             policy=self.retry_policy,
-            budget=budget,
+            budget=(
+                None
+                if self.deadline_ms is None
+                else DeadlineBudget(self.deadline_ms)
+            ),
         )
         report.deliveries += result.verification.deliveries
         lost = set(result.lost)
@@ -459,7 +442,4 @@ class QueueingSimulator:
                 )
                 requeue_counts[id(retry)] = budget_used + 1
                 requeues.append(retry)
-        backlog[:] = [
-            a for k, a in enumerate(backlog) if k not in set(chosen)
-        ] + requeues
-        return served_now
+        return served_now, requeues

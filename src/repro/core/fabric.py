@@ -26,14 +26,20 @@ once it trips.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List
 
-import os
-
+from ..control.plane import control_for
 from ..errors import RoutingInvariantError
-from ..obs.events import CompositeObserver, emit
+from ..faults import healing
+from ..faults.health import HealthTracker
+from ..obs.events import emit
+from ..resilience.breaker import CircuitBreaker
+from ..resilience.budget import DeadlineBudget
+from ..resilience.gate import AdmissionGate, ShedFrame
+from ..resilience.snapshot import FabricSnapshot
 from .brsmn import RoutingResult
 from .config import _resolve_config
 from .multicast import MulticastAssignment
@@ -171,21 +177,10 @@ class MulticastFabric:
         retry_policy=None,
         health=None,
     ):
-        cfg = _resolve_config(n, observer=observer)
+        self.control, cfg = control_for(
+            _resolve_config(n, observer=observer)
+        )
         self.config = cfg
-        if cfg.control is not None:
-            from ..control.plane import ControlPlane  # deferred: cycle
-
-            # The plane's signal aggregator is spliced in FRONT of the
-            # caller's observer so it sees every event the network will
-            # emit; control events go to the caller's observer only.
-            self.control = ControlPlane(cfg.control, observer=cfg.observer)
-            cfg = replace(
-                cfg,
-                observer=CompositeObserver(self.control.signals, cfg.observer),
-            )
-        else:
-            self.control = None
         self.network = build_network(cfg)
         self.n = cfg.n
         self.mode = mode
@@ -194,60 +189,35 @@ class MulticastFabric:
         self.observer = cfg.observer
         self.stats = FabricStats()
         self.deadline_ms = cfg.deadline_ms
-        if cfg.admission is not None:
-            from ..resilience.gate import AdmissionGate  # deferred: cycle
-
-            self.gate = AdmissionGate(cfg.admission, observer=cfg.observer)
-        else:
-            self.gate = None
+        self.gate = (
+            None
+            if cfg.admission is None
+            else AdmissionGate(cfg.admission, observer=cfg.observer)
+        )
+        self.retry_policy = retry_policy
+        self.health = self.standby = self.breaker = None
         if cfg.fault_plan is not None and not cfg.fault_plan.is_empty:
-            from ..faults.healing import RetryPolicy  # deferred: cycle
-            from ..faults.health import HealthTracker
-
-            self.retry_policy = (
-                retry_policy if retry_policy is not None else RetryPolicy()
-            )
+            if retry_policy is None:
+                self.retry_policy = healing.RetryPolicy()
             self.health = health if health is not None else HealthTracker()
             self.standby = build_network(replace(cfg, fault_plan=None))
             if cfg.breaker is not None:
-                from ..resilience.breaker import (  # deferred: cycle
-                    CircuitBreaker,
-                )
-
                 self.breaker = CircuitBreaker(
                     cfg.breaker, scope="primary", observer=cfg.observer
                 )
-            else:
-                self.breaker = None
-        else:
-            self.retry_policy = retry_policy
-            self.health = None
-            self.standby = None
-            self.breaker = None
         if self.control is not None:
-            base_retry = self.retry_policy
-            if base_retry is None and self.health is not None:
-                from ..faults.healing import RetryPolicy  # deferred: cycle
-
-                base_retry = RetryPolicy()
             self.control.bind(
                 gate=self.gate,
                 router=getattr(self.network, "_sharded", None),
                 breaker=self.breaker,
-                retry_policy=base_retry,
-                retry_setter=(
-                    None
-                    if base_retry is None
-                    else lambda p: setattr(self, "retry_policy", p)
-                ),
+                retry_policy=self.retry_policy,
+                retry_setter=lambda p: setattr(self, "retry_policy", p),
             )
         self.snapshot_path = cfg.snapshot_path
         self._closed = False
         if self.snapshot_path is not None and os.path.exists(
             self.snapshot_path
         ):
-            from ..resilience.snapshot import FabricSnapshot  # deferred
-
             FabricSnapshot.load(self.snapshot_path).restore(self)
 
     def submit(self, assignment: MulticastAssignment, priority: int = 0):
@@ -278,42 +248,28 @@ class MulticastFabric:
             self.control.maybe_tick()
 
     def _submit(self, assignment: MulticastAssignment, priority: int = 0):
+        """Admit, select the plane, then route (or heal) and account."""
         if self.gate is not None:
             self.gate.tick()
             if not self.gate.admit(priority=priority):
                 self.stats.shed_frames += 1
-                from ..resilience.gate import ShedFrame  # deferred: cycle
-
                 return ShedFrame(
                     assignment=assignment,
                     priority=priority,
                     reason=self.gate.last_reason,
                 )
-        budget = self._budget()
         if self.health is None:
             return self._submit_verified(assignment, self.network)
         if self.health.use_primary:
-            if self.breaker is not None and not self.breaker.allow():
-                # Open breaker: the primary is short-circuited to the
-                # standby without paying a (likely doomed) healed pass.
-                self.stats.short_circuits += 1
-                result = self._submit_verified(assignment, self.standby)
-                self.stats.standby_frames += 1
-                self._record_health(False)
-                return result
-            return self._submit_healed(assignment, budget)
+            if self.breaker is None or self.breaker.allow():
+                return self._submit_healed(assignment)
+            # Open breaker: the primary is short-circuited to the
+            # standby without paying a (likely doomed) healed pass.
+            self.stats.short_circuits += 1
         result = self._submit_verified(assignment, self.standby)
         self.stats.standby_frames += 1
         self._record_health(False)
         return result
-
-    def _budget(self):
-        """A fresh per-frame deadline budget, or None when unlimited."""
-        if self.deadline_ms is None:
-            return None
-        from ..resilience.budget import DeadlineBudget  # deferred: cycle
-
-        return DeadlineBudget(self.deadline_ms)
 
     def _submit_verified(self, assignment, network) -> RoutingResult:
         """The plain path: route on ``network``, verify, account."""
@@ -326,33 +282,24 @@ class MulticastFabric:
             if self.strict:
                 raise RoutingInvariantError(msg)
             self.stats.failures.append(msg)
-        self.stats.frames += 1
-        self.stats.deliveries += report.deliveries
-        self.stats.splits += result.total_splits
-        self.stats.switch_ops += result.switch_ops
-        self.stats.plan_cache_hits += result.plan_cache_hits
-        self.stats.plan_cache_misses += result.plan_cache_misses
-        self.stats.fanout_histogram.update(assignment.fanout_counts())
+        self._account(assignment, result, report.deliveries)
         return result
 
-    def _submit_healed(self, assignment, budget=None):
+    def _submit_healed(self, assignment):
         """The fault path: heal on the primary plane, track its health."""
-        from ..faults.healing import route_with_healing  # deferred: cycle
-
-        result = route_with_healing(
+        result = healing.route_with_healing(
             self.network,
             assignment,
             mode=self.mode,
             policy=self.retry_policy,
-            budget=budget,
+            budget=(
+                None
+                if self.deadline_ms is None
+                else DeadlineBudget(self.deadline_ms)
+            ),
             breaker=self.breaker,
         )
-        self.stats.frames += 1
-        self.stats.deliveries += result.verification.deliveries
-        self.stats.splits += result.total_splits
-        self.stats.switch_ops += result.switch_ops
-        self.stats.plan_cache_hits += result.plan_cache_hits
-        self.stats.plan_cache_misses += result.plan_cache_misses
+        self._account(assignment, result, result.verification.deliveries)
         self.stats.recovered_terminals += len(result.recovered)
         if result.degraded:
             self.stats.degraded_frames += 1
@@ -365,7 +312,6 @@ class MulticastFabric:
             )
         if result.deadline_expired:
             self.stats.deadline_expired_frames += 1
-        self.stats.fanout_histogram.update(assignment.fanout_counts())
         self._record_health(result.degraded)
         if self.breaker is not None:
             was_open = self.breaker.is_open
@@ -379,6 +325,17 @@ class MulticastFabric:
                 if after is not before:
                     emit(self.observer, "fabric", "quarantined")
         return result
+
+    def _account(self, assignment, result, deliveries: int) -> None:
+        """Add one routed frame to the session statistics."""
+        stats = self.stats
+        stats.frames += 1
+        stats.deliveries += deliveries
+        stats.splits += result.total_splits
+        stats.switch_ops += result.switch_ops
+        stats.plan_cache_hits += result.plan_cache_hits
+        stats.plan_cache_misses += result.plan_cache_misses
+        stats.fanout_histogram.update(assignment.fanout_counts())
 
     def _record_health(self, degraded: bool) -> None:
         """Feed one frame into the health tracker; emit transitions."""
@@ -428,8 +385,6 @@ class MulticastFabric:
         """Capture a warm-restart
         :class:`~repro.resilience.snapshot.FabricSnapshot` — the plan
         cache's assignments plus health and breaker state."""
-        from ..resilience.snapshot import FabricSnapshot  # deferred: cycle
-
         return FabricSnapshot.capture(self)
 
     def restore(self, snap) -> int:
@@ -444,8 +399,6 @@ class MulticastFabric:
         itself is stateless)."""
         self.stats = FabricStats()
         if self.health is not None:
-            from ..faults.health import HealthTracker  # deferred: cycle
-
             self.health = HealthTracker(
                 fail_threshold=self.health.fail_threshold,
                 quarantine_frames=self.health.quarantine_frames,

@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Union
 
 from ..errors import RoutingInvariantError
+from ..faults import healing
+from ..resilience.budget import DeadlineBudget
 from .brsmn import BRSMN, RoutingResult
 from .config import _resolve_config
 from .feedback import FeedbackBRSMN
@@ -150,16 +152,10 @@ def route_resilient(
         property is True when every terminal was delivered (possibly
         after healing).
     """
-    from ..faults.healing import route_with_healing  # deferred: cycle
-
     cfg = _resolve_config(n)
     net = build_network(cfg)
     asg = _coerce_assignment(cfg.n, assignment)
-    budget = None
-    if cfg.deadline_ms is not None:
-        from ..resilience.budget import DeadlineBudget  # deferred: cycle
-
-        budget = DeadlineBudget(cfg.deadline_ms)
-    return route_with_healing(
+    budget = None if cfg.deadline_ms is None else DeadlineBudget(cfg.deadline_ms)
+    return healing.route_with_healing(
         net, asg, mode=mode, payloads=payloads, policy=policy, budget=budget
     )

@@ -148,7 +148,7 @@ FAMILIES: Tuple[Family, ...] = (
            "Requests served by the queueing simulator.",
            _QUEUE, "served"),
     Family("repro_parallel_tasks_total", "counter",
-           "Worker-pool tasks completed, by kind (shard / compile).",
+           "Worker-pool tasks completed, by kind (shard).",
            _on("parallel.workers", "done"), 1, ("kind",),
            sources={"kind": "task"}),
     Family("repro_parallel_workers", "gauge", "Configured worker-pool size.",

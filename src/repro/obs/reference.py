@@ -10,13 +10,14 @@ exactly that rendering between the ``BEGIN/END GENERATED`` markers.
 
 Regenerate the page after changing the metric vocabulary::
 
-    python -m repro.obs.reference docs/metrics_reference.md
+    python -m repro.obs docs/metrics_reference.md
+
+(the command line lives in :mod:`repro.obs.__main__`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import List
 
 from .metrics import Histogram
@@ -81,26 +82,3 @@ def update_generated_section(text: str) -> str:
     head = text[: begin + len(BEGIN_MARK)]
     tail = text[end:]
     return head + "\n" + metrics_reference_markdown() + tail
-
-
-def main(argv=None) -> int:
-    """Rewrite the generated section of the given page in place."""
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print(
-            "usage: python -m repro.obs.reference docs/metrics_reference.md",
-            file=sys.stderr,
-        )
-        return 2
-    path = args[0]
-    with open(path) as fh:
-        text = fh.read()
-    updated = update_generated_section(text)
-    with open(path, "w") as fh:
-        fh.write(updated)
-    print(f"regenerated metrics table in {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

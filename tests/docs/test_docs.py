@@ -76,7 +76,7 @@ class TestMetricsReference:
         text = (DOCS / "metrics_reference.md").read_text()
         assert update_generated_section(text) == text, (
             "docs/metrics_reference.md is stale; regenerate with "
-            "`python -m repro.obs.reference docs/metrics_reference.md`"
+            "`python -m repro.obs docs/metrics_reference.md`"
         )
 
     def test_every_family_has_the_repro_prefix(self):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig, FabricCluster
+from repro import MulticastFabric
 from repro.core import (
-    MulticastFabric,
     NetworkConfig,
     build_network,
     route_resilient,

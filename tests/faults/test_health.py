@@ -4,12 +4,8 @@ import random
 
 import pytest
 
-from repro.core import (
-    MulticastFabric,
-    NetworkConfig,
-    QueueingSimulator,
-    RoutingResult,
-)
+from repro import MulticastFabric, QueueingSimulator
+from repro.core import NetworkConfig, RoutingResult
 from repro.core.arrivals import poisson_arrivals
 from repro.faults import (
     DegradedResult,

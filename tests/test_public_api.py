@@ -159,6 +159,7 @@ class TestDocstringCoverage:
             "repro.core", "repro.obs", "repro.faults", "repro.resilience",
             "repro.control", "repro.cluster", "repro.rbn", "repro.hardware", "repro.baselines",
             "repro.workloads", "repro.analysis", "repro.viz",
+            "repro.core.fabric", "repro.core.arrivals",
         ):
             mod = importlib.import_module(module_name)
             for name in mod.__all__:
