@@ -7,10 +7,10 @@ BRSMN frames, plus the underlying kernels, and regenerates:
 * ``benchmarks/out/fast_engine.txt`` — the human-readable speedup
   table;
 * ``BENCH_fast_engine.json`` at the repo root — machine-readable
-  (n, reference ms, fast ms, batch throughput, plus a ``parallel``
-  section: warm/cold frames/s at 1/2/4 workers with p50/p95, the
-  host's cpu_count, and a cold-cache single-flight demonstration, and
-  a ``restore`` section: a 32-plan warm restore, batched vs one
+  (n, reference ms, fast ms, batch throughput, plus a ``batch_1024``
+  section: warm/cold ``route_batch`` frames/s at n = 1024 on one
+  thread with p50/p95 and the host's cpu_count, and a ``restore``
+  section: a 32-plan warm restore, batched vs one
   compile per plan) so future PRs can track the perf trajectory
   (``scripts/check_bench_regression.py`` gates on it in CI).
 
@@ -27,7 +27,6 @@ import math
 import os
 import pathlib
 import random
-import threading
 import time
 
 import numpy as np
@@ -69,8 +68,8 @@ def timing_stats(fn, *, k=7, warmup=1):
     """Min / p50 / p95 wall-clock seconds of ``fn()`` over ``k`` repeats.
 
     Min is the low-noise steady-state estimator; the percentiles make
-    jitter visible — for the parallel engine that jitter *is* the
-    signal (compile stalls, pool scheduling), so the bench reports both.
+    jitter visible (compile stalls, scheduler noise), so the bench
+    reports both.
     """
     for _ in range(warmup):
         fn()
@@ -234,86 +233,36 @@ def test_end_to_end_speedup(write_artifact, benchmark):
         "empty_plan_overhead": round(fault_overhead, 4),
     }
 
-    # -- parallel engine: sharded batch routing at 1/2/4 workers.  The
-    # payload matrix is *numeric* (int64): np.take on non-object dtypes
-    # releases the GIL, so worker threads genuinely overlap on multicore
-    # hosts.  Cold-cache timings clear the plan cache every repeat (the
-    # compile dominates); warm timings measure routing alone.  p50/p95
-    # ride along so compile-jitter stays visible next to min-of-k.
-    # Thread scaling is hardware-bound, so the measured numbers plus
-    # cpu_count are recorded honestly and the >= 2x acceptance assert
-    # only fires where 4 workers have 4 cores to run on.
+    # -- n = 1024 batch: warm/cold route_batch on one thread, the
+    # default scripts/check_bench_regression.py gate.  The payload
+    # matrix is *numeric* (int64), so the gather runs as np.take.
+    # Cold-cache timings clear the plan cache every repeat (the compile
+    # dominates); warm timings measure routing alone.  p50/p95 ride
+    # along so compile jitter stays visible next to min-of-k.
     pn, pframes = 1024, 64
     pa = random_multicast(pn, load=1.0, seed=pn)
     pmat = np.arange(pframes * pn, dtype=np.int64).reshape(pframes, pn)
-    parallel = {
+    net = BRSMN(NetworkConfig(pn, engine="fast"))
+    warm = timing_stats(lambda: net.route_batch(pa, pmat), k=7, warmup=2)
+
+    def cold():
+        net.plan_cache.clear()
+        net.route_batch(pa, pmat)
+
+    cold_t = timing_stats(cold, k=5, warmup=1)
+    results["batch_1024"] = batch_1024 = {
         "n": pn,
         "frames": pframes,
         "cpu_count": os.cpu_count(),
-        "workers": [],
+        "warm_batch_ms": round(warm["min_s"] * 1e3, 4),
+        "warm_p50_ms": round(warm["p50_s"] * 1e3, 4),
+        "warm_p95_ms": round(warm["p95_s"] * 1e3, 4),
+        "warm_frames_per_s": round(pframes / max(warm["min_s"], 1e-9), 1),
+        "cold_batch_ms": round(cold_t["min_s"] * 1e3, 4),
+        "cold_p50_ms": round(cold_t["p50_s"] * 1e3, 4),
+        "cold_p95_ms": round(cold_t["p95_s"] * 1e3, 4),
+        "cold_frames_per_s": round(pframes / max(cold_t["min_s"], 1e-9), 1),
     }
-    warm_fps = {}
-    for workers in (1, 2, 4):
-        net = BRSMN(NetworkConfig(pn, engine="fast", workers=workers))
-        warm = timing_stats(lambda: net.route_batch(pa, pmat), k=7, warmup=2)
-
-        def cold():
-            net.plan_cache.clear()
-            net.route_batch(pa, pmat)
-
-        cold_t = timing_stats(cold, k=5, warmup=1)
-        net.close()
-        warm_fps[workers] = pframes / max(warm["min_s"], 1e-9)
-        parallel["workers"].append(
-            {
-                "workers": workers,
-                "warm_batch_ms": round(warm["min_s"] * 1e3, 4),
-                "warm_p50_ms": round(warm["p50_s"] * 1e3, 4),
-                "warm_p95_ms": round(warm["p95_s"] * 1e3, 4),
-                "warm_frames_per_s": round(warm_fps[workers], 1),
-                "cold_batch_ms": round(cold_t["min_s"] * 1e3, 4),
-                "cold_p50_ms": round(cold_t["p50_s"] * 1e3, 4),
-                "cold_p95_ms": round(cold_t["p95_s"] * 1e3, 4),
-                "cold_frames_per_s": round(
-                    pframes / max(cold_t["min_s"], 1e-9), 1
-                ),
-            }
-        )
-    parallel["speedup_4w_vs_1w"] = round(warm_fps[4] / warm_fps[1], 2)
-    if (os.cpu_count() or 1) >= 4:
-        assert parallel["speedup_4w_vs_1w"] >= 2.0, (
-            f"4-worker batch routing only {parallel['speedup_4w_vs_1w']}x "
-            "vs 1 worker (need >= 2x on a >= 4-core host)"
-        )
-
-    # -- cold-cache single-flight: 4 threads hit one cold assignment;
-    # the duplicate concurrent misses must coalesce onto one compile.
-    from repro.parallel import ConcurrentPlanCache
-
-    sf_cache = ConcurrentPlanCache(maxsize=8)
-    compiles = []
-
-    def counting_compile(asg):
-        compiles.append(1)
-        return compile_frame_plan(asg)
-
-    sf_threads = [
-        threading.Thread(target=lambda: sf_cache.get(pa, counting_compile))
-        for _ in range(4)
-    ]
-    for t in sf_threads:
-        t.start()
-    for t in sf_threads:
-        t.join()
-    parallel["cold_single_flight"] = {
-        "threads": 4,
-        "compiles": len(compiles),
-        "misses": sf_cache.misses,
-        "coalesced": sf_cache.coalesced,
-    }
-    assert len(compiles) == 1, "single-flight must compile exactly once"
-    assert sf_cache.misses + sf_cache.coalesced + sf_cache.hits == 4
-    results["parallel"] = parallel
 
     # -- cluster tier: K replicas behind plan-affinity placement.  The
     # rendezvous hash and lifecycle bookkeeping are per-frame overhead
@@ -403,35 +352,29 @@ def test_end_to_end_speedup(write_artifact, benchmark):
             o=results["observer"]["nullsink_overhead"],
             e=results["faults"]["empty_plan_overhead"],
         )
-        + "\n\nParallel engine (n = {n}, {f} int64 frames/batch, "
+        + "\n\nBatch at n = {n} ({f} int64 frames/batch, one thread, "
           "{c} CPU core(s) visible):\n".format(
-            n=pn, f=pframes, c=parallel["cpu_count"]
+            n=pn, f=pframes, c=batch_1024["cpu_count"]
         )
         + format_table(
-            ["workers", "warm ms (min/p50/p95)", "warm frames/s",
+            ["warm ms (min/p50/p95)", "warm frames/s",
              "cold ms (min/p50/p95)", "cold frames/s"],
             [
                 [
-                    w["workers"],
                     "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["warm_batch_ms"], w["warm_p50_ms"], w["warm_p95_ms"]
+                        batch_1024["warm_batch_ms"],
+                        batch_1024["warm_p50_ms"],
+                        batch_1024["warm_p95_ms"],
                     ),
-                    f"{w['warm_frames_per_s']:.0f}",
+                    f"{batch_1024['warm_frames_per_s']:.0f}",
                     "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["cold_batch_ms"], w["cold_p50_ms"], w["cold_p95_ms"]
+                        batch_1024["cold_batch_ms"],
+                        batch_1024["cold_p50_ms"],
+                        batch_1024["cold_p95_ms"],
                     ),
-                    f"{w['cold_frames_per_s']:.0f}",
+                    f"{batch_1024['cold_frames_per_s']:.0f}",
                 ]
-                for w in parallel["workers"]
             ],
-        )
-        + "\n  4-worker vs 1-worker warm speedup: {s:.2f}x\n"
-          "  cold single-flight: {th} threads -> {cp} compile(s), "
-          "{co} coalesced".format(
-            s=parallel["speedup_4w_vs_1w"],
-            th=parallel["cold_single_flight"]["threads"],
-            cp=parallel["cold_single_flight"]["compiles"],
-            co=parallel["cold_single_flight"]["coalesced"],
         )
         + "\n\nCluster tier (n = {n}, {f} frames/campaign, {d} distinct "
           "plans, rendezvous placement):\n".format(

@@ -1,18 +1,15 @@
 #!/usr/bin/env python
-"""CI bench-regression gate: single-worker batch throughput vs committed JSON.
+"""CI bench-regression gate: batch throughput vs committed JSON.
 
 Re-measures the one number least forgivable to regress — warm
-single-worker ``route_batch`` frames/s at the parallel bench's shape
-(``n = 1024``, 64-frame batches, numeric payloads) — and fails if it
-drops more than ``--threshold`` (default 20 %) below the value recorded
-in the committed ``BENCH_fast_engine.json``.
+``route_batch`` frames/s at the bench's ``batch_1024`` shape
+(``n = 1024``, 64-frame batches, numeric payloads, one thread) — and
+fails if it drops more than ``--threshold`` (default 20 %) below the
+value recorded in the committed ``BENCH_fast_engine.json``.
 
-Only the single-worker number is gated: multi-worker scaling is
-hardware-bound (the committed JSON records ``cpu_count`` next to its
-numbers), so comparing it across machines would gate on the runner's
-core count, not on the code.  Warm min-of-k is used for the same
-reason the bench uses it — it is the low-noise steady-state estimator,
-insensitive to one-off scheduler stalls that p50/p95 exist to surface.
+Warm min-of-k is used for the same reason the bench uses it — it is
+the low-noise steady-state estimator, insensitive to one-off scheduler
+stalls that p50/p95 exist to surface.
 
 Run from the repository root::
 
@@ -54,7 +51,7 @@ contract against the static gate it started from:
         --mode 2x
 
 Exit status: 0 when within threshold, 1 on regression, 2 when the
-committed JSON is missing or lacks the parallel section (regenerate it
+committed JSON is missing or lacks the gated section (regenerate it
 with ``pytest benchmarks/bench_fast_engine.py::test_end_to_end_speedup``)
 or a summary artifact is missing/malformed.
 """
@@ -77,27 +74,30 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def committed_frames_per_s(
-    path: pathlib.Path,
-    section: str = "parallel",
-    workers: int = 1,
-    rows_key: str = "workers",
-    row_field: str = "workers",
+    path: pathlib.Path, section: str = "batch_1024", replicas=None
 ) -> float:
-    """The committed warm frames/s for one bench row, or exit 2 if absent.
+    """The committed warm frames/s of one bench section, or exit 2 if
+    absent.
 
-    The default row is the single-worker batch number; the
-    ``--cluster`` gate reads the ``cluster`` section's 1-replica row
-    (1, not 4, so the gate prices the placement/lifecycle overhead
-    rather than how the runner schedules K fabrics).
+    The default is the ``batch_1024`` section; the ``--cluster`` gate
+    reads the ``cluster`` section's row for ``replicas=1`` (1, not 4,
+    so the gate prices the placement/lifecycle overhead rather than
+    how the runner schedules K fabrics).
     """
-    rows = _committed(path).get(section, {}).get(rows_key, [])
-    for row in rows:
-        if row.get(row_field) == workers:
-            return float(row["warm_frames_per_s"])
-    print(
-        f"bench regression: no {section} {row_field}={workers} row in {path}",
-        file=sys.stderr,
-    )
+    entry = _committed(path).get(section, {})
+    if replicas is not None:
+        entry = next(
+            (
+                row
+                for row in entry.get("replicas", [])
+                if row.get("replicas") == replicas
+            ),
+            {},
+        )
+    if "warm_frames_per_s" in entry:
+        return float(entry["warm_frames_per_s"])
+    where = section if replicas is None else f"{section} replicas={replicas}"
+    print(f"bench regression: no {where} row in {path}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -186,7 +186,8 @@ def best_of_bursts(measure, ceiling: float) -> float:
 
 
 def measure_frames_per_s(k: int = 7, warmup: int = 2) -> float:
-    """Warm min-of-k frames/s, same shape as the bench's parallel section."""
+    """Warm min-of-k frames/s, same shape as the bench's ``batch_1024``
+    section."""
     n, frames = 1024, 64
     assignment = random_multicast(n, load=1.0, seed=n)
     matrix = np.arange(frames * n, dtype=np.int64).reshape(frames, n)
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
         "--cluster",
         action="store_true",
         help="gate the cluster section's 1-replica warm frames/s row "
-        "instead of the single-worker batch row",
+        "instead of the n=1024 batch row",
     )
     parser.add_argument(
         "--compile",
@@ -372,15 +373,14 @@ def main(argv=None) -> int:
         return 1 if failed else 0
     if args.cluster:
         committed = committed_frames_per_s(
-            args.json, section="cluster", workers=1,
-            rows_key="replicas", row_field="replicas",
+            args.json, section="cluster", replicas=1
         )
         measured = measure_cluster_frames_per_s()
         label = "cluster (1-replica) warm campaign throughput"
     else:
         committed = committed_frames_per_s(args.json)
         measured = measure_frames_per_s()
-        label = "single-worker batch throughput"
+        label = "n=1024 batch throughput"
     floor = committed * (1.0 - args.threshold)
     verdict = "OK" if measured >= floor else "REGRESSION"
     print(

@@ -48,7 +48,7 @@ Subpackages:
   budgets, admission control, circuit breakers, warm-restart
   snapshots).
 * :mod:`repro.control` — the adaptive control plane (sliding-window
-  signal aggregation, pure AIMD/depth/worker/backoff controllers, a
+  signal aggregation, pure AIMD/backoff controllers, a
   deterministic tick loop with a replayable decision log).
 * :mod:`repro.cluster` — the multi-replica serving tier (plan-affinity
   rendezvous placement, health-aware failover, zero-loss rolling

@@ -5,11 +5,11 @@ Usage (after ``pip install -e .``)::
     python -m repro route --n 8 --assign '{"0":[0,1],"2":[3,4,7],"3":[2],"7":[5,6]}'
     python -m repro route --n 8 --example --trace
     python -m repro stats --n 64 --frames 200 --engine fast --metrics-out metrics.json
-    python -m repro stats --n 256 --frames 500 --workers 4
+    python -m repro stats --n 256 --frames 500 --workload random
     python -m repro chaos --n 32 --frames 100 --faults 2 --seed 7
     python -m repro chaos --n 64 --overload --arrival-rate 2.0 --deadline-ms 50
     python -m repro chaos --n 64 --overload --adaptive --seed 7 \\
-        --workers 4 --control-log decisions.json --summary-out summary.json
+        --control-log decisions.json --summary-out summary.json
     python -m repro tags --n 8 --dests 3,4,7
     python -m repro structure --n 64
     python -m repro table2 --sizes 8,64,512
@@ -34,7 +34,7 @@ Subcommands:
   simulator with an admission gate and per-slot deadline, reporting
   the full admitted / shed / delivered / recovered / lost accounting.
   ``--adaptive`` runs the closed-loop control plane over the campaign
-  (AIMD admission rate and priority reserve, worker target); its
+  (AIMD admission rate and priority reserve); its
   decision log replays bit-identically for a given seed and can be
   exported with ``--control-log``.
 * ``tags`` — print a destination set's tag tree SEQ (Section 7.1).
@@ -175,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--seed", type=int, default=0)
     p_stats.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker-pool size for the fast engine (1 = single-threaded)",
-    )
-    p_stats.add_argument(
         "--metrics-out",
         type=str,
         default=None,
@@ -278,17 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.25)",
     )
     p_chaos.add_argument(
-        "--workers",
-        type=int,
-        help="overload: worker-pool size for the fast engine (default 1)",
-    )
-    p_chaos.add_argument(
         "--adaptive",
         action="store_true",
         default=None,
         help="overload: run the closed-loop control plane (AIMD "
-        "admission rate, priority reserve, worker target) over the "
-        "campaign instead of the static gate policy",
+        "admission rate and priority reserve) over the campaign "
+        "instead of the static gate policy",
     )
     p_chaos.add_argument(
         "--control-log",
@@ -514,15 +503,11 @@ def _cmd_stats(args) -> int:
     from .core.fabric import MulticastFabric
     from .obs import CompositeObserver, MetricsObserver, TracingObserver
 
-    if args.workers > 1 and args.engine != "fast":
-        print("--workers requires --engine fast", file=sys.stderr)
-        return 2
     metrics = MetricsObserver()
     tracing = TracingObserver()
     cfg = NetworkConfig(
         args.n,
         engine=args.engine,
-        workers=args.workers,
         observer=CompositeObserver(metrics, tracing),
     )
     fabric = MulticastFabric(cfg, mode=args.mode)
@@ -544,12 +529,6 @@ def _cmd_stats(args) -> int:
             f"plan cache: {stats.plan_cache_hits} hits, "
             f"{stats.plan_cache_misses} misses "
             f"({stats.plan_cache_hit_rate:.0%} hit rate)"
-        )
-    if args.workers > 1:
-        cache = fabric.network.plan_cache
-        print(
-            f"parallel: {args.workers} workers, "
-            f"{getattr(cache, 'coalesced', 0)} coalesced compiles"
         )
     if not args.no_profile:
         rows = _profile_rows(tracing)
@@ -653,7 +632,6 @@ _OVERLOAD_DEFAULTS = {
     "soft_watermark": 16.0,
     "hard_watermark": 32.0,
     "high_priority": 0.25,
-    "workers": 1,
     "adaptive": False,
     "control_log": None,
 }
@@ -775,9 +753,6 @@ def _cmd_chaos_overload(args) -> int:
     if args.control_log is not None and not args.adaptive:
         print("--control-log requires --adaptive", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.engine != "fast":
-        print("--workers requires --engine fast", file=sys.stderr)
-        return 2
     metrics = MetricsObserver()
     try:
         plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
@@ -803,7 +778,6 @@ def _cmd_chaos_overload(args) -> int:
         cfg = NetworkConfig(
             args.n,
             engine=args.engine,
-            workers=args.workers,
             fault_plan=plan,
             observer=metrics,
             admission=admission,

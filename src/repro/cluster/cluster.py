@@ -126,6 +126,10 @@ class FabricCluster:
             fresh :class:`~repro.faults.health.HealthTracker` per
             fabric build, so fleet-wide health thresholds can be
             pinned without sharing mutable tracker state.
+
+    Single-threaded: the replicas are in-process fabrics served in
+    turn on the calling thread, and one thread at a time drives a
+    cluster (its router, frame index and statistics are unguarded).
     """
 
     def __init__(

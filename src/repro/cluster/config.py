@@ -3,8 +3,8 @@
 A :class:`ClusterConfig` composes with the per-replica
 :class:`~repro.core.config.NetworkConfig`: the cluster tier decides *how
 many* fabrics serve and *which one* gets each frame, while everything
-about how a single replica routes — engine, workers, fault plan,
-admission, control — stays on the network config it already lives on.  Every replica is built from the **same** network config, which is
+about how a single replica routes — engine, fault plan, admission,
+control — stays on the network config it already lives on.  Every replica is built from the **same** network config, which is
 what makes cluster routing bit-identical to a single fabric: routing is
 a pure function of (config, assignment), so it cannot matter which
 replica serves a frame.

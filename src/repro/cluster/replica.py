@@ -155,7 +155,7 @@ class FabricReplica:
             self.state = ReplicaState.DRAINING
 
     def kill(self) -> None:
-        """Crash the replica: no snapshot, pools released, state DOWN.
+        """Crash the replica: no snapshot, fabric closed, state DOWN.
 
         Idempotent.  The wrapped fabric never carries a
         ``snapshot_path`` (:class:`~repro.cluster.config.ClusterConfig`

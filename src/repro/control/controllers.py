@@ -10,16 +10,13 @@ actuator, reads a clock, or keeps hidden state; the
 That split is what makes seeded campaigns replay bit-identically:
 identical windows in, identical decisions out, every run.
 
-The three loops:
+The two loops:
 
 * :func:`admission_step` — AIMD on the
   :class:`~repro.resilience.gate.AdmissionGate` refill rate (and its
   priority reserve): additive increase while high-priority frames are
   being shed or capacity sits idle, multiplicative decrease the moment
   the backlog crosses ``backlog_high``.
-* :func:`worker_step` — raises the
-  :class:`~repro.parallel.shard.ShardedBatchRouter` worker target
-  under backlog pressure, parks spare workers when drained.
 * :func:`backoff_step` — scales
   :class:`~repro.faults.healing.RetryPolicy` backoff while the circuit
   breaker is HALF_OPEN, so probe traffic paces itself.
@@ -36,10 +33,8 @@ from .signals import SignalWindow
 __all__ = [
     "ControlAction",
     "AdmissionState",
-    "WorkerState",
     "BackoffState",
     "admission_step",
-    "worker_step",
     "backoff_step",
 ]
 
@@ -49,16 +44,15 @@ class ControlAction:
     """One actuator adjustment a controller decided on.
 
     Attributes:
-        controller: which loop decided (``"admission"``,
-            ``"workers"``, ``"backoff"``).
+        controller: which loop decided (``"admission"`` or
+            ``"backoff"``).
         parameter: the actuator knob (``"rate"``, ``"reserve"``,
-            ``"worker_target"``, ``"backoff_scale"``).
+            ``"backoff_scale"``).
         old: the knob's value before the adjustment.
         new: the value the controller chose.
         reason: deterministic one-word cause (``"backlog"``,
             ``"high_priority_shed"``, ``"spare_capacity"``,
-            ``"drained"``, ``"breaker_half_open"``,
-            ``"breaker_recovered"``).
+            ``"breaker_half_open"``, ``"breaker_recovered"``).
     """
 
     controller: str
@@ -83,14 +77,6 @@ class AdmissionState:
     rate: float
     reserve: float
     reserve_cap: float = float("inf")
-
-
-@dataclass(frozen=True)
-class WorkerState:
-    """Worker state: the shard worker target currently set."""
-
-    target: int
-    maximum: int
 
 
 @dataclass(frozen=True)
@@ -170,42 +156,6 @@ def admission_step(
         ),
         actions,
     )
-
-
-def worker_step(
-    policy: ControlPolicy, signals: SignalWindow, state: WorkerState
-) -> Tuple[WorkerState, List[ControlAction]]:
-    """Scale the shard worker target with backlog pressure.
-
-    The target can never exceed ``state.maximum`` (the constructed
-    pool's size — threads are provisioned at build time, the
-    controller only decides how many to *use*): backlog at/above
-    ``backlog_high`` raises the target one worker per tick toward that
-    maximum; a drained queue (<= ``backlog_low``) parks one worker per
-    tick down toward ``worker_min``, which shrinks shard count — and
-    with it merge and wake-up overhead — on quiet streams.
-    """
-    actions: List[ControlAction] = []
-    target = state.target
-    if signals.queue_depth >= policy.backlog_high:
-        new_target = min(state.maximum, target + 1)
-        if new_target != target:
-            actions.append(
-                ControlAction(
-                    "workers", "worker_target", target, new_target, "backlog"
-                )
-            )
-            target = new_target
-    elif signals.queue_depth <= policy.backlog_low:
-        new_target = max(policy.worker_min, target - 1)
-        if new_target != target:
-            actions.append(
-                ControlAction(
-                    "workers", "worker_target", target, new_target, "drained"
-                )
-            )
-            target = new_target
-    return WorkerState(target=target, maximum=state.maximum), actions
 
 
 def backoff_step(

@@ -12,7 +12,6 @@ controller              actuator
 ======================  ==========================================
 ``admission``           :meth:`AdmissionGate.update_policy`
                         (``rate``, ``reserve``)
-``workers``             :meth:`ShardedBatchRouter.set_worker_target`
 ``backoff``             a ``retry_setter`` callback receiving
                         ``RetryPolicy.scaled(scale)``
 ======================  ==========================================
@@ -39,10 +38,8 @@ from ..obs.events import CompositeObserver, emit
 from .controllers import (
     AdmissionState,
     BackoffState,
-    WorkerState,
     admission_step,
     backoff_step,
-    worker_step,
 )
 from .policy import ControlPolicy
 from .signals import SignalAggregator
@@ -68,8 +65,8 @@ class ControlPlane:
     whichever actuators it built, then calls :meth:`maybe_tick` once
     per service opportunity (submission / slot) on the submitting
     thread.  Only bound actuators are controlled; everything else is
-    left alone — a fabric without workers simply never runs the worker
-    loop.
+    left alone — a fabric without an admission gate simply never runs
+    the AIMD loop.
     """
 
     def __init__(
@@ -85,20 +82,17 @@ class ControlPlane:
         self._decisions: List[Dict[str, object]] = []
         # Actuators (None until bind()).
         self._gate = None
-        self._router = None
         self._breaker = None
         self._retry_base = None
         self._retry_setter: Optional[Callable] = None
         # Controller states (None until the matching actuator binds).
         self._admission: Optional[AdmissionState] = None
-        self._workers: Optional[WorkerState] = None
         self._backoff: Optional[BackoffState] = None
 
     # -- wiring ----------------------------------------------------------
     def bind(
         self,
         gate=None,
-        router=None,
         breaker=None,
         retry_policy=None,
         retry_setter: Optional[Callable] = None,
@@ -108,10 +102,6 @@ class ControlPlane:
         Args:
             gate: an :class:`~repro.resilience.gate.AdmissionGate`; its
                 current policy seeds the AIMD state.
-            router: a
-                :class:`~repro.parallel.shard.ShardedBatchRouter`; its
-                pool size becomes both the initial target and the hard
-                maximum.
             breaker: a
                 :class:`~repro.resilience.breaker.CircuitBreaker`
                 sampled (never driven) for HALF_OPEN at tick time.
@@ -132,11 +122,6 @@ class ControlPlane:
                 rate=gate.policy.rate,
                 reserve=gate.policy.reserve,
                 reserve_cap=cap,
-            )
-        if router is not None:
-            self._router = router
-            self._workers = WorkerState(
-                target=router.effective_workers, maximum=router.pool.workers
             )
         if breaker is not None:
             self._breaker = breaker
@@ -189,13 +174,6 @@ class ControlPlane:
                 self._gate.update_policy(
                     rate=self._admission.rate, reserve=self._admission.reserve
                 )
-                self._record(actions)
-        if self._workers is not None:
-            self._workers, actions = worker_step(
-                self.policy, window, self._workers
-            )
-            if actions:
-                self._router.set_worker_target(self._workers.target)
                 self._record(actions)
         if self._backoff is not None:
             self._backoff, actions = backoff_step(

@@ -3,9 +3,8 @@
 :class:`ControlPolicy` bounds every closed-loop adjustment the control
 plane (:mod:`repro.control.plane`) is allowed to make.  The controllers
 themselves are pure functions; the policy is the *envelope* they act
-within — AIMD floor/ceiling on the admission refill rate, a floor on
-the worker target, and the backoff scale used while the circuit
-breaker is probing.
+within — AIMD floor/ceiling on the admission refill rate and the
+backoff scale used while the circuit breaker is probing.
 
 Every bound is validated at construction, and every validation error
 names the offending field and its accepted range, so a mistyped
@@ -44,11 +43,9 @@ class ControlPolicy:
         reserve_max: cap on the adapted reserve (must stay below the
             gate's burst or best-effort traffic starves entirely).
         backlog_high: queue depth at/above which the loop backs off
-            (multiplicative decrease, worker scale-up).
+            (multiplicative decrease).
         backlog_low: queue depth at/below which the system is
-            considered drained (probing up is safe, workers may scale
-            down).
-        worker_min: smallest shard worker target the loop may set.
+            considered drained (probing up is safe).
         half_open_backoff_scale: factor (>= 1) applied to healing
             retry backoff while the circuit breaker is HALF_OPEN, so
             probe traffic paces itself instead of hammering a
@@ -65,7 +62,6 @@ class ControlPolicy:
     reserve_max: float = 4.0
     backlog_high: float = 24.0
     backlog_low: float = 4.0
-    worker_min: int = 1
     half_open_backoff_scale: float = 2.0
 
     def __post_init__(self):
@@ -114,10 +110,6 @@ class ControlPolicy:
             raise ValueError(
                 f"backlog_high ({self.backlog_high}) must be >= "
                 f"backlog_low ({self.backlog_low})"
-            )
-        if self.worker_min < 1:
-            raise ValueError(
-                f"worker_min must be >= 1, got {self.worker_min}"
             )
         if self.half_open_backoff_scale < 1.0:
             raise ValueError(

@@ -16,8 +16,8 @@ into two classes:
   synchronously at tick time (queue depth, breaker state).  These
   are pure functions of the seed and the arrival trace.
 * **advisory signals** — wall-clock serve latency and plan-cache
-  hit/miss counts.  Cache events can arrive from worker threads at
-  scheduler-dependent times and latency is wall-clock by definition,
+  hit/miss counts.  Cache events can arrive from another thread
+  sharing the plan cache, and latency is wall-clock by definition,
   so controllers MUST NOT consume them; they ride along for
   observability (the ``repro_control_*`` gauges and debugging) only.
 """
@@ -53,7 +53,7 @@ class SignalWindow:
         breaker_half_open: True when the circuit breaker was HALF_OPEN
             at the most recent tick.
         cache_hits: advisory — plan-cache hits observed (may include
-            worker-thread events; NOT a decision signal).
+            other threads' events; NOT a decision signal).
         cache_misses: advisory — plan-cache misses observed.
         serve_ns: advisory — wall-clock routing nanoseconds observed.
             Excluded from every controller decision and from the
@@ -136,8 +136,8 @@ class SignalAggregator(Observer):
     The aggregator is attached by the control plane as one leg of a
     :class:`~repro.obs.events.CompositeObserver` in front of whatever
     observer the caller configured, so it sees every event the metrics
-    and tracing observers see.  Handlers take a lock because cache and
-    parallel events can arrive from pool threads; the *decision*
+    and tracing observers see.  Handlers take a lock because a shared
+    plan cache can emit from another thread; the *decision*
     signals are only ever written by the submitting thread, which is
     what keeps the windows replayable.
     """

@@ -228,14 +228,17 @@ class QueueingSimulator:
     to off.  A ``control`` policy runs a
     :class:`~repro.control.plane.ControlPlane` over the slot loop: one
     deterministic control tick at the end of every slot, retuning the
-    gate's rate/reserve and the shard worker target from the observed
-    window (see ``docs/control_plane.md``).
+    gate's rate/reserve from the observed window (see
+    ``docs/control_plane.md``).
 
     When the config carries a non-empty fault plan, every slot's frame
     is routed through :func:`~repro.faults.healing.route_with_healing`:
     terminals the in-slot retries cannot reach are re-queued as a
     reduced request for a later slot (a different backlog packing routes
     them through different positions), bounded by ``max_requeues``.
+
+    Single-threaded: :meth:`run` serves every slot on the calling
+    thread, and one thread at a time drives a simulator.
     """
 
     def __init__(
@@ -279,7 +282,6 @@ class QueueingSimulator:
         if self.control is not None:
             self.control.bind(
                 gate=self.gate,
-                router=getattr(self.network, "_sharded", None),
                 retry_policy=self.retry_policy,
                 retry_setter=lambda p: setattr(self, "retry_policy", p),
             )
@@ -382,8 +384,8 @@ class QueueingSimulator:
         return report
 
     def close(self) -> None:
-        """Release parallel-engine resources (worker threads); no-op on
-        non-parallel configurations."""
+        """Close the network (a no-op kept for a uniform session
+        lifecycle; see :meth:`~repro.core.brsmn.BRSMN.close`)."""
         close = getattr(self.network, "close", None)
         if close is not None:
             close()

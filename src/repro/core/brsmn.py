@@ -414,15 +414,21 @@ class BRSMN:
     same-size sub-BSNs share one :class:`BinarySplittingNetwork`
     instance, which is pure logic).
 
+    Single-threaded: every routing call runs on the calling thread, and
+    a network is driven by one thread at a time (its frame counter and
+    fault injector are unguarded).  To route from several threads,
+    give each thread its own network; they may share one plan cache,
+    whose LRU map and counters sit behind a lock.
+
     Args:
         n: a :class:`~repro.core.config.NetworkConfig` (must be
             unrolled), or a bare network size (power of two, >= 2).
         plan_cache: fast engine only — a
-            :class:`~repro.core.fastplan.PlanCache` (or thread-safe
+            :class:`~repro.core.fastplan.PlanCache` (or
             :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`) to
             share across networks (default: a private cache sized by
             the config's ``plan_cache_size``, wired to the config's
-            observer; concurrent when the config sets ``workers > 1``).
+            observer).
         observer: optional :class:`~repro.obs.events.Observer`
             (overrides the config's).
     """
@@ -451,40 +457,16 @@ class BRSMN:
         else:
             self.fault_plan = None
             self._injector = None
-        self.workers = cfg.workers
-        self.pool = None
-        self._sharded = None
-        parallel = cfg.engine == "fast" and cfg.workers > 1
         if cfg.engine == "fast" or plan_cache is not None:
-            if parallel:
-                # Deferred: repro.parallel imports core.fastplan.
-                from ..parallel import (
-                    ConcurrentPlanCache,
-                    ShardedBatchRouter,
-                    WorkerPool,
-                )
+            from .fastplan import PlanCache  # deferred: import cycle
 
-                self.plan_cache = (
-                    plan_cache
-                    if plan_cache is not None
-                    else ConcurrentPlanCache(
-                        maxsize=cfg.plan_cache_size, observer=cfg.observer
-                    )
+            self.plan_cache = (
+                plan_cache
+                if plan_cache is not None
+                else PlanCache(
+                    maxsize=cfg.plan_cache_size, observer=cfg.observer
                 )
-                self.pool = WorkerPool(cfg.workers, observer=cfg.observer)
-                self._sharded = ShardedBatchRouter(
-                    self.pool, observer=cfg.observer
-                )
-            else:
-                from .fastplan import PlanCache  # deferred: import cycle
-
-                self.plan_cache = (
-                    plan_cache
-                    if plan_cache is not None
-                    else PlanCache(
-                        maxsize=cfg.plan_cache_size, observer=cfg.observer
-                    )
-                )
+            )
         else:
             self.plan_cache = None
 
@@ -784,27 +766,22 @@ class BRSMN:
         return len(plans)
 
     def close(self) -> None:
-        """Stop the worker pool.
+        """A no-op: a network holds no threads, files or sockets.
 
-        Idempotent, and a no-op on non-parallel configurations; a later
-        routing call restarts the pool transparently, so ``close`` is
-        a courtesy for prompt teardown, not a lifecycle obligation.
+        Kept so every session object (network, fabric, simulator,
+        cluster) can be closed the same way; idempotent.
         """
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def route_batch(
         self,
         assignment: MulticastAssignment,
         payload_matrix,
         mode: str = "oracle",
-        budget=None,
     ) -> BatchRoutingResult:
         """Route many payload frames sharing one assignment.
 
         On the fast engine the whole batch is one fancy-indexing gather
-        through the compiled plan — sharded across the worker pool when
-        the network is configured with ``workers > 1`` — and on the
+        through the compiled plan, on the calling thread; on the
         reference engine the frames are routed sequentially (the
         baseline the batch path is benchmarked against).
 
@@ -812,16 +789,9 @@ class BRSMN:
             assignment: the shared multicast assignment.
             payload_matrix: ``(batch, n)`` array-like of per-input
                 payloads, one row per frame.  A *numeric* ndarray keeps
-                its dtype end to end (idle outputs deliver 0, and the
-                gather kernels release the GIL, which is what lets
-                worker threads scale on multicore hosts); any other
-                input is routed as an object matrix with ``None`` on
-                idle outputs, exactly as before.
-            budget: optional
-                :class:`~repro.resilience.budget.DeadlineBudget`
-                bounding the sharded path's worker waits — a shard
-                unfinished when it expires is routed inline, so the
-                batch still returns complete deliveries.
+                its dtype end to end (idle outputs deliver 0); any
+                other input is routed as an object matrix with ``None``
+                on idle outputs.
 
         Returns:
             A :class:`BatchRoutingResult`.
@@ -855,14 +825,10 @@ class BRSMN:
             )
             attempt = self._injector.attempt if self._injector is not None else 0
             delivery_src = self._delivery_src(plan, attempt)
-            if self._sharded is not None:
-                delivered = self._sharded.apply(plan, mat, attempt, budget=budget)
-            else:
-                delivered = plan.apply_batch(mat, attempt)
             result = BatchRoutingResult(
                 assignment=assignment,
                 frames=mat.shape[0],
-                payloads=delivered,
+                payloads=plan.apply_batch(mat, attempt),
                 delivery_src=delivery_src,
                 mode=mode,
                 engine="fast",

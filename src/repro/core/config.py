@@ -52,13 +52,6 @@ class NetworkConfig:
             ``"fast"`` (compiled NumPy routing plans; unrolled only).
         plan_cache_size: fast engine — maximum compiled plans retained
             by the LRU :class:`~repro.core.fastplan.PlanCache`.
-        workers: fast engine — size of the routing worker pool.  At 1
-            (the default) everything runs on the calling thread; above
-            1 the network routes payload batches through a
-            :class:`~repro.parallel.shard.ShardedBatchRouter` and
-            memoises plans in a thread-safe
-            :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
-            with single-flight compile deduplication.
         observer: optional :class:`~repro.obs.events.Observer` receiving
             frame lifecycle events, per-level profiling spans and
             plan-cache events (unrolled implementation).
@@ -71,7 +64,7 @@ class NetworkConfig:
         deadline_ms: optional per-frame wall-clock budget in
             milliseconds — the session facades then carry a
             :class:`~repro.resilience.budget.DeadlineBudget` through
-            healing retries and sharded-batch waits, so serving stops
+            healing retries, so serving stops
             (and the frame is accounted) when the budget is spent.
         admission: optional
             :class:`~repro.resilience.gate.AdmissionPolicy` — the
@@ -89,8 +82,8 @@ class NetworkConfig:
             :class:`~repro.control.policy.ControlPolicy` — the session
             facades then run a
             :class:`~repro.control.plane.ControlPlane` that retunes
-            the admission rate (AIMD), shard worker target and retry
-            backoff from the observed event stream, one deterministic
+            the admission rate (AIMD) and retry backoff from the
+            observed event stream, one deterministic
             tick per submission / slot.
         snapshot_path: optional filesystem path —
             :meth:`~repro.core.fabric.MulticastFabric.close` then
@@ -105,7 +98,6 @@ class NetworkConfig:
     implementation: str = "unrolled"
     engine: str = "reference"
     plan_cache_size: int = 256
-    workers: int = 1
     observer: Optional[object] = field(default=None, compare=False)
     fault_plan: Optional[object] = None
     deadline_ms: Optional[float] = None
@@ -133,14 +125,6 @@ class NetworkConfig:
         if self.plan_cache_size < 1:
             raise ValueError(
                 f"plan_cache_size must be >= 1, got {self.plan_cache_size}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.workers > 1 and self.engine != "fast":
-            raise ValueError(
-                "workers > 1 requires engine='fast' "
-                "(the reference engine is a per-switch teaching "
-                "simulation; parallelising it would only obscure it)"
             )
         if self.fault_plan is not None:
             # Duck-typed on purpose: importing repro.faults here would
@@ -202,7 +186,7 @@ class NetworkConfig:
         The ergonomic way to vary a frozen config::
 
             base = NetworkConfig(256, engine="fast")
-            tuned = base.derive(workers=4, plan_cache_size=1024)
+            tuned = base.derive(plan_cache_size=1024)
 
         Args:
             **overrides: any :class:`NetworkConfig` field.  Unknown

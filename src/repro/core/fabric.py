@@ -148,8 +148,8 @@ class MulticastFabric:
     With ``control`` on the config, a
     :class:`~repro.control.plane.ControlPlane` watches the fabric's
     event stream and retunes the bound actuators (admission rate and
-    reserve, shard worker target, retry backoff) once per submission
-    tick; decisions are logged on :attr:`MulticastFabric.control` and
+    reserve, retry backoff) once per submission tick; decisions are
+    logged on :attr:`MulticastFabric.control` and
     emitted as ``control`` events.
     With ``snapshot_path``, :meth:`close` writes a warm-restart
     :class:`~repro.resilience.snapshot.FabricSnapshot` there and the
@@ -166,6 +166,11 @@ class MulticastFabric:
     quarantines the primary after repeated degraded frames; traffic
     then drains on a fault-free *standby* plane (same config, no fault
     plan) until the primary earns re-admission through clean probes.
+
+    Single-threaded: ``submit`` routes on the calling thread, and one
+    thread at a time drives a fabric (its statistics, gate, health
+    tracker and control plane are unguarded).  Run one fabric per
+    thread to serve from several.
     """
 
     def __init__(
@@ -208,7 +213,6 @@ class MulticastFabric:
         if self.control is not None:
             self.control.bind(
                 gate=self.gate,
-                router=getattr(self.network, "_sharded", None),
                 breaker=self.breaker,
                 retry_policy=self.retry_policy,
                 retry_setter=lambda p: setattr(self, "retry_policy", p),
@@ -236,9 +240,9 @@ class MulticastFabric:
         including a shed one — counts toward the control plane's tick
         cadence, so the adaptive loops see overload as it happens.
         """
-        # A submit after close() transparently restarts the session
-        # (the pools re-spawn lazily), so the next close() is live
-        # again — it must persist the newly-accumulated state.
+        # A submit after close() transparently restarts the session,
+        # so the next close() is live again — it must persist the
+        # newly-accumulated state.
         self._closed = False
         if self.control is None:
             return self._submit(assignment, priority)
@@ -353,16 +357,14 @@ class MulticastFabric:
         return self.stats
 
     def close(self) -> None:
-        """Release parallel-engine resources (worker threads).
+        """End the session: persist the snapshot, then close both planes.
 
         Idempotent and optional — a closed fabric transparently
-        restarts its pool on the next submit; see
-        :meth:`~repro.core.brsmn.BRSMN.close`.  The standby plane is
-        closed in a ``finally`` so a raising primary drain can never
-        leak its worker threads.  With ``snapshot_path`` on the config
-        a warm-restart snapshot is written first (before the pools
-        drain), so the next fabric constructed with the same path
-        restores warm.  A second ``close()`` with no submit in between
+        restarts on the next submit.  The standby plane is closed in a
+        ``finally`` so a raising primary close still reaches it.  With
+        ``snapshot_path`` on the config a warm-restart snapshot is
+        written first, so the next fabric constructed with the same
+        path restores warm.  A second ``close()`` with no submit in between
         is a no-op: in particular it does *not* re-persist the snapshot
         (a drain manager closing an already-closed fabric must not
         overwrite the file with a post-drain state).

@@ -300,12 +300,9 @@ class FramePlan:
           coerced to) — idle outputs and fault casualties deliver
           ``None``, matching :meth:`apply`;
         * a *numeric* ndarray (any non-object dtype) — the gather runs
-          as :func:`numpy.take`, which releases the GIL for simple
-          dtypes, so the sharded batch router
-          (:mod:`repro.parallel.shard`) scales across threads; idle
-          outputs and casualties deliver the dtype's zero (there is no
-          ``None`` in a numeric array).  The result keeps the input
-          dtype.
+          as :func:`numpy.take`; idle outputs and casualties deliver
+          the dtype's zero (there is no ``None`` in a numeric array).
+          The result keeps the input dtype.
 
         Args:
             payload_matrix: ``(batch, n)`` array-like; row ``f`` holds
@@ -661,18 +658,16 @@ class PlanCache:
     structurally identical assignments share one compiled plan no
     matter how they were constructed.
 
-    The cache is thread-safe: the hit/miss counters and the LRU map are
+    The cache is thread-safe, so networks driven from different
+    threads may share one: the hit/miss counters and the LRU map are
     only touched under one internal mutex, and
     ``fastplan.plan_cache`` event emission happens *outside* the
     critical section — the event payloads (sizes included) are
     snapshotted under the lock, then delivered in that deterministic
     order, so a slow observer can never stall (or deadlock with)
     another routing thread.  Compilation also runs outside the lock;
-    concurrent misses on the same key may therefore compile twice here
-    (first insert wins, both callers get the same retained plan) — the
-    multi-worker engine's
-    :class:`~repro.parallel.plan_cache.ConcurrentPlanCache` adds
-    single-flight deduplication on top for exactly that case.
+    concurrent misses on the same key may therefore compile twice
+    (first insert wins, both callers get the same retained plan).
 
     Attributes:
         maxsize: maximum retained plans (least-recently-used eviction).
@@ -708,26 +703,11 @@ class PlanCache:
             return len(self._plans)
 
     @property
-    def coalesced(self) -> int:
-        """Misses served by another thread's in-flight compile (always
-        0 here; the concurrent subclass counts real coalescing)."""
-        return 0
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache."""
         with self._lock:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
-
-    def contains(
-        self, assignment: MulticastAssignment, extra_key: str = ""
-    ) -> bool:
-        """True when the assignment's plan is cached (no LRU refresh,
-        no counter or event side effects)."""
-        key = self.make_key(assignment, extra_key)
-        with self._lock:
-            return key in self._plans
 
     def get(
         self,

@@ -8,7 +8,7 @@ raises on any violation unless ``strict=False``.
 
 Both :func:`build_network` and :func:`route_multicast` take either a
 bare port count or a :class:`~repro.core.config.NetworkConfig` — all
-construction options (implementation, engine, cache sizing, workers,
+construction options (implementation, engine, cache sizing,
 observers, fault plans, resilience and control policies) live on the
 config.  The pre-v1 ``implementation=`` / ``engine=`` kwargs and the
 ``route_and_report`` wrapper are gone; ``docs/migration_v1.md`` maps

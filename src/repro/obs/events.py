@@ -73,13 +73,6 @@ class Event:
     ``fabric`` — primary-plane transitions ``quarantined``,
     ``probation``, ``readmitted``: no fields.
 
-    ``parallel.workers`` — ``start`` / ``done`` of a pool task:
-    ``task`` (``"shard"``), then ``workers`` and ``busy`` after the
-    event.
-
-    ``parallel.shard`` — ``shard_requeued`` / ``shard_inline``:
-    ``frames`` of the recovered shard.
-
     ``resilience.gate`` — ``admitted`` / ``shed``: ``priority``,
     ``tokens`` (bucket level after the decision, -1 when unlimited),
     ``queue_depth``.

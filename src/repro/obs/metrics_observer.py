@@ -12,10 +12,9 @@ Latency histograms use power-of-two nanosecond buckets
 (:func:`~repro.obs.metrics.log2_buckets`), fanout histograms use
 power-of-two count buckets.
 
-The observer is thread-safe: the multi-worker engine
-(:mod:`repro.parallel`) emits shard / compile / cache events from pool
-threads concurrently with the submitting thread, so every event is
-folded into the registry under one internal mutex.
+The observer is thread-safe: every event is folded into the registry
+under one internal mutex, so networks routing on different threads may
+share one observer.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ _CACHE = _on(
     "fastplan.plan_cache", "hit", "miss", "evict", "clear", "coalesced"
 )
 _QUEUE = _on("arrivals", "queue_depth")
-_POOL = _on("parallel.workers", "start", "done")
 _HEAL = "faults.healing"
 _GATE = "resilience.gate"
 _BREAKER = _on("resilience.breaker", *_BREAKER_STATES)
@@ -147,15 +145,6 @@ FAMILIES: Tuple[Family, ...] = (
     Family("repro_queue_served_total", "counter",
            "Requests served by the queueing simulator.",
            _QUEUE, "served"),
-    Family("repro_parallel_tasks_total", "counter",
-           "Worker-pool tasks completed, by kind (shard).",
-           _on("parallel.workers", "done"), 1, ("kind",),
-           sources={"kind": "task"}),
-    Family("repro_parallel_workers", "gauge", "Configured worker-pool size.",
-           _POOL, "workers"),
-    Family("repro_parallel_workers_busy", "gauge",
-           "Workers currently running a task (utilisation numerator).",
-           _POOL, "busy"),
     Family("repro_parallel_coalesced_total", "counter",
            "Plan-cache misses coalesced onto an in-flight compile "
            "(single-flight deduplication).",
@@ -200,12 +189,6 @@ FAMILIES: Tuple[Family, ...] = (
     Family("repro_resilience_short_circuits_total", "counter",
            "Frames short-circuited away from an open breaker's plane.",
            _on("resilience.breaker", "short_circuit")),
-    Family("repro_resilience_shard_requeues_total", "counter",
-           "Crashed batch shards resubmitted to the worker pool.",
-           _on("parallel.shard", "shard_requeued")),
-    Family("repro_resilience_shard_inline_total", "counter",
-           "Batch shards recovered inline on the submitting thread.",
-           _on("parallel.shard", "shard_inline")),
     Family("repro_resilience_snapshot_total", "counter",
            "Warm-restart snapshots taken/restored, by action.",
            _on("resilience.snapshot", "snapshot_saved", "snapshot_restored"),

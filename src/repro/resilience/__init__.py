@@ -2,13 +2,13 @@
 
 The routing stack below this package answers "is the frame
 realisable?"; this package answers "what happens when too many frames
-arrive, a plane goes bad, a worker dies, or the process restarts?" —
+arrive, a plane goes bad, or the process restarts?" —
 the serving-layer concerns that govern throughput under contention:
 
 * :mod:`~repro.resilience.budget` — :class:`DeadlineBudget`, the
   wall-clock allowance carried from
   :meth:`~repro.core.fabric.MulticastFabric.submit` down through the
-  healing retries and the sharded router's waits, so an overloaded
+  healing retries, so an overloaded
   frame is accounted, never hung;
 * :mod:`~repro.resilience.gate` — :class:`AdmissionGate` /
   :class:`AdmissionPolicy`, the deterministic token-bucket +

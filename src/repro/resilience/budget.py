@@ -1,8 +1,8 @@
 """Deadline budgets: one wall-clock allowance per serving attempt.
 
 A frame submitted under overload must be *accounted, never hung*: the
-healing loop's retries, the sharded router's future waits and the
-queueing simulator's in-slot repairs all need to stop when the caller's
+healing loop's retries and the queueing simulator's in-slot repairs
+all need to stop when the caller's
 latency allowance is spent.  :class:`DeadlineBudget` is the single
 object carried down those paths — started once at submission, consulted
 (``expired`` / ``remaining_s``) at every blocking point, and used to

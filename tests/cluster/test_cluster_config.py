@@ -69,5 +69,5 @@ class TestDerive:
 
     def test_derive_network(self):
         cfg = ClusterConfig(replicas=2, network=net())
-        out = cfg.derive(network=cfg.network.derive(workers=2))
-        assert out.network.workers == 2
+        out = cfg.derive(network=cfg.network.derive(plan_cache_size=64))
+        assert out.network.plan_cache_size == 64

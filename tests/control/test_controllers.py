@@ -7,10 +7,8 @@ from repro.control import (
     BackoffState,
     ControlPolicy,
     SignalWindow,
-    WorkerState,
     admission_step,
     backoff_step,
-    worker_step,
 )
 
 POLICY = ControlPolicy(
@@ -119,35 +117,6 @@ class TestAdmissionStep:
         )
 
 
-class TestWorkerStep:
-    def test_backlog_raises_target(self):
-        state = WorkerState(target=2, maximum=4)
-        new, actions = worker_step(POLICY, window(queue_depth=16), state)
-        assert new.target == 3
-        assert [a.reason for a in actions] == ["backlog"]
-
-    def test_target_capped_at_pool_size(self):
-        state = WorkerState(target=4, maximum=4)
-        new, actions = worker_step(POLICY, window(queue_depth=99), state)
-        assert new.target == 4 and actions == []
-
-    def test_drained_parks_a_worker(self):
-        state = WorkerState(target=3, maximum=4)
-        new, actions = worker_step(POLICY, window(queue_depth=0), state)
-        assert new.target == 2
-        assert [a.reason for a in actions] == ["drained"]
-
-    def test_never_below_worker_min(self):
-        state = WorkerState(target=1, maximum=4)
-        new, actions = worker_step(POLICY, window(queue_depth=0), state)
-        assert new.target == 1 and actions == []
-
-    def test_midband_holds(self):
-        state = WorkerState(target=2, maximum=4)
-        new, actions = worker_step(POLICY, window(queue_depth=8), state)
-        assert new == state and actions == []
-
-
 class TestBackoffStep:
     def test_half_open_scales_up(self):
         new, actions = backoff_step(
@@ -174,7 +143,7 @@ class TestBackoffStep:
 
 
 class TestAdvisorySignalsIgnored:
-    """Wall-clock and pool-thread fields must never steer a decision."""
+    """Wall-clock and plan-cache fields must never steer a decision."""
 
     @pytest.mark.parametrize(
         "advisory",
@@ -188,13 +157,9 @@ class TestAdvisorySignalsIgnored:
         base = window(queue_depth=8)
         noisy = window(queue_depth=8, **advisory)
         a_state = AdmissionState(rate=1.5, reserve=0.5)
-        w_state = WorkerState(target=2, maximum=4)
         b_state = BackoffState(scale=1.0)
         assert admission_step(POLICY, base, a_state) == admission_step(
             POLICY, noisy, a_state
-        )
-        assert worker_step(POLICY, base, w_state) == worker_step(
-            POLICY, noisy, w_state
         )
         assert backoff_step(POLICY, base, b_state) == backoff_step(
             POLICY, noisy, b_state

@@ -1,20 +1,11 @@
 """The replay guarantee: seeded campaigns decide bit-identically.
 
 The decision log is a pure function of the seed and the arrival trace
-— across repeated runs, across export files, and even with worker
-crashes injected on the pool threads (crashes perturb scheduling and
-wall-clock, never the decision signals).
+— across repeated runs and across export files.
 """
 
 from __future__ import annotations
 
-import random
-import threading
-
-import numpy as np
-import pytest
-
-from conftest import make_random_assignment
 from repro import (
     AdmissionPolicy,
     ControlPolicy,
@@ -23,14 +14,10 @@ from repro import (
     QueueingSimulator,
     RetryPolicy,
 )
-from repro.control import ControlPlane
 from repro.core.arrivals import poisson_arrivals
-from repro.core.fastplan import compile_frame_plan
-from repro.parallel import ShardedBatchRouter, WorkerPool
-from repro.resilience import AdmissionGate
 
 
-def run_campaign(seed=7, adaptive=True, workers=2, rate=2.0, n=32):
+def run_campaign(seed=7, adaptive=True, rate=2.0, n=32):
     """One seeded overload campaign (~2x capacity at rate=2.0)."""
     admission = AdmissionPolicy(
         rate=1.0, burst=6.0, soft_watermark=12.0, hard_watermark=24.0
@@ -49,7 +36,6 @@ def run_campaign(seed=7, adaptive=True, workers=2, rate=2.0, n=32):
     cfg = NetworkConfig(
         n,
         engine="fast",
-        workers=workers,
         fault_plan=FaultPlan.random(n, faults=2, seed=seed),
         admission=admission,
         control=control,
@@ -110,75 +96,3 @@ class TestAdaptiveBeatsStatic:
         _, rep_a, _ = run_campaign(adaptive=True)
         _, rep_s, _ = run_campaign(adaptive=False)
         assert rep_a.served >= rep_s.served
-
-
-# -- worker-crash injection -------------------------------------------------
-
-def _on_pool_thread() -> bool:
-    return threading.current_thread().name.startswith("repro-worker")
-
-
-class CrashingPlan:
-    """Wraps a real plan; the first ``crashes`` pool-thread calls die
-    (the crash-safe router requeues / inlines the slice)."""
-
-    def __init__(self, plan, crashes: int):
-        self._plan = plan
-        self._budget = crashes
-        self._lock = threading.Lock()
-
-    def apply_batch(self, mat, attempt=0):
-        if _on_pool_thread():
-            with self._lock:
-                if self._budget > 0:
-                    self._budget -= 1
-                    raise RuntimeError("injected worker crash")
-        return self._plan.apply_batch(mat, attempt)
-
-
-def drive_plane_over_batches(crashes: int):
-    """A deterministic tick script over a crash-injected shard router.
-
-    The queue-depth schedule and shed events are fixed; only the
-    pool-thread crashes vary.  The decision log must not notice them.
-    """
-    a = make_random_assignment(32, random.Random(5))
-    plan = CrashingPlan(compile_frame_plan(a), crashes)
-    mat = np.random.default_rng(5).integers(0, 2**31, size=(12, 32))
-    pool = WorkerPool(2)
-    try:
-        router = ShardedBatchRouter(pool)
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=6.0))
-        plane = ControlPlane(
-            ControlPolicy(backlog_high=8.0, backlog_low=1.0)
-        )
-        plane.bind(gate=gate, router=router)
-        for tick, depth in enumerate((10, 9, 0, 10, 0, 0)):
-            router.apply(plan, mat)
-            if tick % 2 == 0:
-                gate.admit(priority=1, queue_depth=depth)
-            plane.maybe_tick(queue_depth=depth)
-        return plane.decision_log()
-    finally:
-        pool.shutdown()
-
-
-class TestCrashInjectionInvariance:
-    def test_crashes_do_not_perturb_decisions(self):
-        baseline = drive_plane_over_batches(crashes=0)
-        assert baseline, "script produced no decisions — not a real test"
-        for _ in range(3):
-            assert drive_plane_over_batches(crashes=3) == baseline
-
-
-class TestAdaptiveCampaignWithCrashes:
-    def test_simulator_replay_survives_worker_count(self):
-        # The same campaign on 1 and 2 workers: scheduling differs,
-        # decisions must not (workers only matter through the bound
-        # router's pool size, which caps the worker controller).
-        one = run_campaign(workers=1)[0].control.decision_log()
-        two = run_campaign(workers=2)[0].control.decision_log()
-        non_worker = lambda log: [
-            d for d in log if d["controller"] != "workers"
-        ]
-        assert non_worker(one) == non_worker(two)

@@ -7,7 +7,6 @@ import pytest
 from repro.control import ControlPlane, ControlPolicy, SignalAggregator
 from repro.obs import MetricsObserver, Observer
 from repro.obs.events import Event
-from repro.parallel import ShardedBatchRouter, WorkerPool
 from repro.resilience import AdmissionGate, AdmissionPolicy
 from repro.faults import RetryPolicy
 
@@ -135,33 +134,6 @@ class TestGateActuation:
         shed_high(plane.signals)
         plane.tick(queue_depth=99)
         assert plane.decision_log() == []
-
-
-class TestPipelineAndWorkerActuation:
-    @pytest.fixture()
-    def pool(self):
-        p = WorkerPool(3)
-        yield p
-        p.shutdown()
-
-    def test_drained_queue_parks_workers(self, pool):
-        router = ShardedBatchRouter(pool)
-        plane = ControlPlane(ControlPolicy(backlog_low=2.0))
-        plane.bind(router=router)
-        assert router.effective_workers == 3
-        plane.tick(queue_depth=0)
-        assert router.effective_workers == 2
-        plane.tick(queue_depth=0)
-        assert router.effective_workers == 1
-
-    def test_backlog_raises_worker_target_up_to_pool(self, pool):
-        router = ShardedBatchRouter(pool)
-        router.set_worker_target(1)
-        plane = ControlPlane(ControlPolicy(backlog_high=5.0))
-        plane.bind(router=router)
-        for _ in range(5):
-            plane.tick(queue_depth=10)
-        assert router.effective_workers == 3  # capped at pool size
 
 
 class TestBackoffActuation:

@@ -37,7 +37,6 @@ class TestValidationNamesTheField:
             ({"backlog_high": -1.0}, "backlog_high"),
             ({"backlog_low": -1.0}, "backlog_low"),
             ({"backlog_high": 1.0, "backlog_low": 2.0}, "backlog_high"),
-            ({"worker_min": 0}, "worker_min"),
             ({"half_open_backoff_scale": 0.5}, "half_open_backoff_scale"),
         ],
     )

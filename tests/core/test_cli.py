@@ -137,7 +137,6 @@ class TestChaosCommand:
         "flag",
         [
             ["--deadline-ms", "50"],
-            ["--workers", "2"],
             ["--adaptive"],
             ["--control-log", "log.json"],
             ["--arrival-rate", "3.0"],
@@ -215,17 +214,12 @@ class TestMetricsOutPaths:
 
 
 class TestStatsParallel:
-    def test_parallel_line(self, capsys):
-        rc = main(
-            ["stats", "--n", "16", "--frames", "6", "--workers", "2",
-             "--no-profile"]
-        )
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        parallel = [ln for ln in lines if ln.startswith("parallel:")]
-        assert len(parallel) == 1
-        assert parallel[0].startswith("parallel: 2 workers, ")
-        assert parallel[0].endswith(" coalesced compiles")
+    @pytest.mark.parametrize("command", ["stats", "chaos"])
+    def test_workers_flag_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "8", "--frames", "3", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_compile_ahead_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

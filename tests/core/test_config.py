@@ -12,7 +12,6 @@ from repro.core.fabric import MulticastFabric
 from repro.core.feedback import FeedbackBRSMN
 from repro.core.routing import build_network, route_multicast
 from repro.obs import NullSink, TracingObserver
-from repro.parallel import ShardedBatchRouter, WorkerPool
 
 EXAMPLE = {0: [1, 2], 3: [0]}
 
@@ -49,15 +48,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkConfig(8, plan_cache_size=0)
 
-    def test_default_executor_is_thread(self):
-        """Threads are the only sharding backend above one worker."""
-        net = BRSMN(NetworkConfig(8, engine="fast", workers=2))
-        try:
-            assert isinstance(net._sharded, ShardedBatchRouter)
-            assert isinstance(net.pool, WorkerPool)
-        finally:
-            net.close()
-
     def test_bad_executor_rejected(self):
         """The removed ``executor`` option is an unknown field."""
         with pytest.raises(TypeError, match="executor"):
@@ -76,6 +66,18 @@ class TestValidation:
         for name in ("depth_min", "depth_max", "drop_threshold"):
             with pytest.raises(TypeError, match=name):
                 ControlPolicy(**{name: 4})
+
+    def test_workers_removed(self):
+        """The removed thread-sharding knobs are unknown fields."""
+        with pytest.raises(TypeError, match="workers"):
+            NetworkConfig(64, workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            NetworkConfig(8, engine="fast").derive(workers=2)
+        assert "workers" not in {f.name for f in fields(NetworkConfig)}
+        with pytest.raises(TypeError, match="worker_min"):
+            ControlPolicy(worker_min=1)
+        with pytest.raises(ImportError):
+            from repro.parallel import ShardedBatchRouter  # noqa: F401
 
     def test_frozen(self):
         cfg = NetworkConfig(8)
@@ -170,8 +172,8 @@ class TestLegacyKwargsRemoved:
 
 class TestDerive:
     def test_overrides_fields(self):
-        cfg = NetworkConfig(8).derive(engine="fast", workers=2)
-        assert cfg.engine == "fast" and cfg.workers == 2
+        cfg = NetworkConfig(8).derive(engine="fast", plan_cache_size=2)
+        assert cfg.engine == "fast" and cfg.plan_cache_size == 2
         assert cfg.n == 8
 
     def test_keeps_unrelated_fields(self):

@@ -43,13 +43,12 @@ class EventCounter(Observer):
 
 
 def overload_campaign(observer) -> list:
-    """``repro chaos --overload --adaptive --n 64 --seed 7`` (1 worker,
-    no deadline); returns the decision log."""
+    """``repro chaos --overload --adaptive --n 64 --seed 7`` (no
+    deadline); returns the decision log."""
     n, seed, admit_rate, admit_burst, soft = 64, 7, 1.5, 8.0, 16.0
     cfg = NetworkConfig(
         n,
         engine="fast",
-        workers=1,
         fault_plan=FaultPlan.random(n, faults=2, seed=seed),
         observer=observer,
         admission=AdmissionPolicy(

@@ -76,7 +76,6 @@ def _cache_state(fabric):
     return (
         cache.hits,
         cache.misses,
-        cache.coalesced,
         len(cache),
         [a.destinations for a in cache.snapshot_assignments()],
     )
@@ -124,11 +123,6 @@ def test_hand_written_document_with_duplicates():
     snap = FabricSnapshot.from_json(doc)
     for size in (2, 8):
         _assert_equivalent(dict(n=16, engine="fast", plan_cache_size=size), snap)
-
-
-def test_concurrent_plan_cache():
-    cfg = dict(n=16, engine="fast", workers=2, plan_cache_size=4)
-    _assert_equivalent(cfg, _snapshot(16, 10, seed=3))
 
 
 def test_faulted_fabric_plans_equal_faulted_singles():

@@ -53,7 +53,7 @@ class TestFabricDoubleClose:
         assert after > before
 
     def test_double_close_without_snapshot(self):
-        fabric = MulticastFabric(NetworkConfig(16, engine="fast", workers=2))
+        fabric = MulticastFabric(NetworkConfig(16, engine="fast"))
         for a in frames():
             fabric.submit(a)
         fabric.close()
@@ -78,11 +78,5 @@ class TestFabricDoubleClose:
 class TestBRSMNDoubleClose:
     def test_plain(self):
         net = BRSMN(NetworkConfig(16, engine="fast"))
-        net.close()
-        net.close()
-
-    def test_parallel(self):
-        net = BRSMN(NetworkConfig(16, engine="fast", workers=2))
-        net.route(frames(count=1)[0])
         net.close()
         net.close()

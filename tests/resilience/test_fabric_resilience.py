@@ -151,19 +151,6 @@ class TestDeadlineStats:
 
 
 class TestCloseSafety:
-    def test_brsmn_close_releases_pool(self):
-        """Closing a parallel network shuts its started pool down."""
-        from repro.core.routing import build_network
-
-        net = build_network(NetworkConfig(16, engine="fast", workers=2))
-        assert net.pool is not None
-        a = _frames(16, 1, seed=12)[0]
-        net.route_batch(a, [list(range(16))] * 4)
-        assert net.pool._executor is not None
-        net.close()
-        # No executor left behind.
-        assert net.pool._executor is None
-
     def test_fabric_close_reaches_standby_when_primary_raises(self):
         plan = FaultPlan.random(16, faults=2, seed=11)
         cfg = NetworkConfig(16, engine="fast", fault_plan=plan)
@@ -181,6 +168,6 @@ class TestCloseSafety:
         assert closed == ["standby"]
 
     def test_close_is_idempotent(self):
-        fab = MulticastFabric(NetworkConfig(16, engine="fast", workers=2))
+        fab = MulticastFabric(NetworkConfig(16, engine="fast"))
         fab.close()
         fab.close()

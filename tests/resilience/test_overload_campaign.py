@@ -1,6 +1,6 @@
 """Acceptance: the seeded overload + fault campaign from the issue.
 
-n=64, 4 workers, 2 injected faults, arrivals at twice the one-frame-
+n=64, 2 injected faults, arrivals at twice the one-frame-
 per-slot service capacity.  The campaign must finish with zero
 unhandled exceptions, account for every generated request in exactly
 one of delivered / recovered / shed / lost, and keep admitted-frame
@@ -17,7 +17,6 @@ from repro.resilience import AdmissionPolicy
 
 N = 64
 SLOTS = 64
-WORKERS = 4
 FAULTS = 2
 ARRIVAL_RATE = 2.0  # 2x the one-frame-per-slot capacity
 DEADLINE_MS = 250.0
@@ -31,7 +30,6 @@ def campaign():
     cfg = NetworkConfig(
         N,
         engine="fast",
-        workers=WORKERS,
         fault_plan=plan,
         observer=metrics,
         admission=AdmissionPolicy(
@@ -80,7 +78,6 @@ class TestAcceptanceCampaign:
         cfg = NetworkConfig(
             N,
             engine="fast",
-            workers=WORKERS,
             fault_plan=plan,
             admission=AdmissionPolicy(
                 rate=1.5, burst=8.0, soft_watermark=16.0, hard_watermark=32.0

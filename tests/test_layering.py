@@ -117,3 +117,35 @@ def test_serving_classes_left_repro_core():
     ):
         assert name not in repro.core.__all__, name
 
+
+def _imported_modules(path: Path):
+    """``(lineno, absolute module)`` for every import in ``path``;
+    relative imports are resolved against the module's package, and
+    ``from pkg import name`` also yields ``pkg.name``."""
+    # A module's package is its directory, for ``__init__`` too.
+    package = list(path.relative_to(SRC).parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module or ""
+            yield node.lineno, module
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def test_only_parallel_imports_repro_parallel():
+    """``repro.parallel`` is a leaf nothing in the library imports."""
+    offenders = {
+        f"{path.relative_to(PACKAGE)}:{lineno}"
+        for path in PACKAGE.rglob("*.py")
+        if "parallel" not in path.relative_to(PACKAGE).parts[:-1]
+        for lineno, module in _imported_modules(path)
+        if module == "repro.parallel" or module.startswith("repro.parallel.")
+    }
+    assert not offenders, sorted(offenders)
