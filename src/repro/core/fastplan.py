@@ -115,8 +115,9 @@ def _level_gather(
     blocks, size = codes.shape
     half = size // 2
     n0, n1, na = counts[:, CODE_ZERO], counts[:, CODE_ONE], counts[:, CODE_ALPHA]
-    if np.any(n0 + na > half) or np.any(n1 + na > half):
-        bad = int(np.argmax((n0 + na > half) | (n1 + na > half)))
+    over = np.maximum(n0, n1) + na > half
+    if over.any():
+        bad = int(np.argmax(over))
         raise RoutingInvariantError(
             "BSN input constraint (eq. 2) violated: "
             f"n0={int(n0[bad])}, n1={int(n1[bad])}, na={int(na[bad])}, "
@@ -139,9 +140,7 @@ def _level_gather(
     # then ascending bit sort to C(n/2, n/2) over the one-population.
     quasi = np.minimum(scat_codes, 2).reshape(blocks, size)
     divided = divide_epsilons(quasi, block_counts(quasi, 3))
-    perm = sort_gather(
-        (divided == 1) | (divided == 4), np.full(blocks, half), tables
-    )
+    perm = sort_gather((divided == 1) | (divided == 4), np.full(blocks, half))
     if stage_ns is not None:
         stage_ns["quasisort"] = stage_ns.get("quasisort", 0) + (
             perf_counter_ns() - t

@@ -204,8 +204,6 @@ FAMILIES: Tuple[Family, ...] = (
                    "Admission refill rate currently set by the AIMD loop."),
     _control_gauge("repro_control_admission_reserve", "reserve",
                    "Priority token reserve currently set by the AIMD loop."),
-    _control_gauge("repro_control_worker_target", "worker_target",
-                   "Shard worker target currently set by the control plane."),
     _control_gauge("repro_control_backoff_scale", "backoff_scale",
                    "Healing retry-backoff scale currently applied "
                    "(1 = base policy)."),

@@ -6,23 +6,21 @@ switch by switch.  This module evaluates the same mathematics from the
 closed forms of the backward phases, in a fixed number of array calls
 per stage:
 
-* **bit sort (Theorem 1)** — a node's start position is the root start
-  plus the number of gamma cells before the node (mod the node size).
-  One ``cumsum`` gives every node's start, and the settings of every
-  node of all ``m`` stages come from one evaluation;
+* **bit sort (Theorem 1)** — the gamma cells fill ``C^n_{s,l}`` in
+  input order and the rest fill the other outputs in reverse input
+  order, so one ``cumsum`` of ranks gives every output position;
 * **epsilon division (Table 6)** — the upper-first top-down split gives
   dummy 0 to the first ``e0`` epsilons of a block, so one ``cumsum``
   ranks the epsilons and a comparison labels them.
 
-Every pass is one Table 5 compact setting per node;
-:func:`compose_stages` expands them into ``(m, n)`` stage gathers
-(through an 8-entry ``(setting, is_lower)`` table) and composes those
-into one gather ``out[i] = in[src[i]]``.  The node tables this needs
-depend only on the shape, so :func:`shape_tables` memoises them per
-``(blocks, n)`` for one network's levels; a batched compile, whose
-shape changes with the batch size, builds its own with
-:func:`build_shape_tables`.  The broadcast-bearing scatter pass
-(:mod:`repro.rbn.fast_scatter`) uses the same machinery.
+The scatter pass (:mod:`repro.rbn.fast_scatter`) alone goes through
+switch settings: one Table 5 compact setting per node, which
+:func:`compose_stages` expands into ``(m, n)`` stage gathers (through
+an 8-entry ``(setting, is_lower)`` table) and composes into one gather
+``out[i] = in[src[i]]``.  The node tables this needs depend only on
+the shape, so :func:`shape_tables` memoises them per ``(blocks, n)``
+for one network's levels; a batched compile, whose shape changes with
+the batch size, builds its own with :func:`build_shape_tables`.
 
 Every kernel is *block-batched*: a ``(blocks, n')`` matrix of
 independent same-size sub-networks runs in the same array calls; one
@@ -36,7 +34,7 @@ Equivalence with the reference implementation is tested in
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +64,6 @@ class ShapeTables(NamedTuple):
     """
 
     node_half: np.ndarray  # (N,): half size of each node
-    node_mid: np.ndarray  # (N,): flat position of each node's lower half
     level_start: Tuple[int, ...]  # m + 1 offsets into the node arrays
 
 
@@ -79,11 +76,8 @@ def build_shape_tables(blocks: int, n: int) -> ShapeTables:
     m = check_network_size(n)
     starts = blocks * ((1 << np.arange(m + 1)) - 1)
     node_level = np.repeat(np.arange(m), blocks << np.arange(m))
-    node_half = n >> (node_level + 1)
-    node_j = np.arange(starts[m]) - starts[node_level]
     tables = ShapeTables(
-        node_half=node_half.astype(np.int32),
-        node_mid=(node_j * 2 * node_half + node_half).astype(np.int32),
+        node_half=(n >> (node_level + 1)).astype(np.int32),
         level_start=tuple(int(v) for v in starts),
     )
     for table in tables[:-1]:
@@ -109,8 +103,8 @@ _IS_LOWER = np.array([[0], [0], [0], [1], [1], [1]])
 
 
 def compose_stages(
-    tables: ShapeTables, blk_s, blk_l, val, pre, post, with_role: bool = False
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    tables: ShapeTables, blk_s, blk_l, val, pre, post
+) -> Tuple[np.ndarray, np.ndarray]:
     """Run one Table 5 compact setting per node as one flat gather.
 
     A node's setting is a circular block ``[blk_s, blk_s + blk_l)`` of
@@ -118,13 +112,13 @@ def compose_stages(
     at most three constant runs over its switches, which its upper and
     then its lower outputs repeat.  One ``np.repeat`` of the runs'
     ``(setting, is_lower)`` gather offsets therefore lays out the stage
-    gathers of every node of every stage.
+    gathers of every node of every stage.  The scatter pass is the one
+    caller; the bit sort has a closed form (:func:`sort_gather`).
 
     Returns ``(src, role)``: output ``i`` takes input ``src[i]``;
-    ``role`` (``None`` unless ``with_role``) marks the copies of split
-    alphas.  With ``y_m`` the input and ``y_k[i] = y_{k+1}[stage_k[i]]``,
-    the pass is ``src = stage_{m-1}[... stage_0]``, composed outermost
-    stage first.
+    ``role`` marks the copies of split alphas.  With ``y_m`` the input
+    and ``y_k[i] = y_{k+1}[stage_k[i]]``, the pass is ``src =
+    stage_{m-1}[... stage_0]``, composed outermost stage first.
     """
     h = tables.node_half
     end = blk_s + blk_l
@@ -138,13 +132,8 @@ def compose_stages(
     offsets = np.repeat((_HALF_OFFSET[runs] * h).T.reshape(-1), lengths)
     stage = offsets.reshape(len(tables.level_start) - 1, -1)
     stage += np.arange(stage.shape[1])
-    src = stage[0]
-    if not with_role:
-        for k in range(1, stage.shape[0]):
-            src = stage[k][src]
-        return src, None
     role = np.repeat(_ROLE[runs].T.reshape(-1), lengths).reshape(stage.shape)
-    out_role = role[0]
+    src, out_role = stage[0], role[0]
     for k in range(1, stage.shape[0]):
         # A split never yields another alpha, so at most one stage of a
         # chain broadcasts; its role is the chain's.
@@ -154,25 +143,24 @@ def compose_stages(
     return src, out_role
 
 
-def sort_gather(
-    gamma: np.ndarray, s_vals: np.ndarray, tab: Optional[ShapeTables] = None
-) -> np.ndarray:
+def sort_gather(gamma: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
     """Theorem 1 over a ``(blocks, n)`` 0/1 matrix, as a flat gather.
 
-    With ``P`` the root start plus the gamma count before a position,
-    the backward phase's inputs at a node's midpoint are ``s1 = P mod
-    half`` and ``b = floor(P / half) mod 2``; the node's merging stage
-    is the compact setting ``W(0, s1; 1 - b, b)``.  ``tab`` defaults to
-    the memoised tables of the shape.
+    The RBN puts a gamma of rank ``r1`` among its row's gammas at ``(s +
+    r1) mod n`` and a non-gamma of rank ``r0`` among the rest at ``(s -
+    1 - r0) mod n``.  The switch settings follow from the same ranks:
+    with ``P`` the root start plus the gamma count before a node's
+    midpoint, the node's merging stage is the compact setting ``W(0,
+    s1; 1 - b, b)``, ``s1 = P mod half``, ``b = floor(P / half) mod 2``.
     """
     blocks, n = gamma.shape
-    if tab is None:
-        tab = shape_tables(blocks, n)
-    start = np.cumsum(gamma, axis=1) - gamma + s_vals[:, None]
-    at_mid = start.reshape(-1)[tab.node_mid]
-    s1 = at_mid % tab.node_half
-    b = (at_mid // tab.node_half) & 1
-    return compose_stages(tab, np.zeros_like(s1), s1, b, 1 - b, 1 - b)[0]
+    r1 = np.cumsum(gamma, axis=1) - gamma  # r0 = i - r1
+    dest = np.where(gamma, r1, r1 - 1 - np.arange(n)) + s_vals[:, None]
+    dest &= n - 1
+    dest += (np.arange(blocks) * n)[:, None]
+    perm = np.empty(blocks * n, dtype=np.int64)
+    perm[dest.reshape(-1)] = np.arange(blocks * n)
+    return perm
 
 
 def fast_sort_permutation_batch(gamma: np.ndarray, s) -> np.ndarray:
@@ -235,15 +223,16 @@ def divide_epsilons(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     n = codes.shape[1]
     half = n // 2
     n_zero, n_one, n_eps = counts[:, 0], counts[:, 1], counts[:, 2]
-    if np.any(n_one > half) or np.any(n_zero > half):
-        bad = int(np.argmax((n_one > half) | (n_zero > half)))
+    over = (n_one > half) | (n_zero > half)
+    if over.any():
+        bad = int(np.argmax(over))
         raise RoutingInvariantError(
             "quasisort precondition violated: "
             f"n0={int(n_zero[bad])}, n1={int(n_one[bad])} (block {bad})"
         )
     root_e1 = half - n_one
     root_e0 = n_eps - root_e1
-    if np.any(root_e0 < 0) or np.any(root_e1 < 0):
+    if ((root_e0 < 0) | (root_e1 < 0)).any():
         raise RoutingInvariantError("epsilon-division counts went negative")
     is_eps = codes == 2
     rank = np.cumsum(is_eps, axis=1) - is_eps

@@ -215,7 +215,6 @@ def scatter_gather(
         np.where(same, b, int(SwitchSetting.LOWER_BCAST) - t0),
         np.where(same, 1 - b, pre_e),
         np.where(same, 1 - b, post_e),
-        with_role=True,
     )
 
     # Broadcast sanity (Theorem 2's invariant): every split source must

@@ -2,29 +2,34 @@
 
 The plan compiler runs each BRSMN level as ``blocks`` side-by-side
 networks in one call of each kernel: the scatter gather (Tables 4/5),
-the Theorem 1 bit sort and the Table 6 epsilon division.  Every row of
-a batch must equal the reference pass on that row alone
+the Theorem 1 bit sort (a closed form over ranks) and the Table 6
+epsilon division.  Every row of a batch must equal the reference pass
+on that row alone
 (:func:`~repro.rbn.scatter.scatter`,
 :func:`~repro.rbn.bitsort.route_to_compact`,
 :func:`~repro.rbn.quasisort.divide_epsilons`) for n = 2 .. 1024,
 blocks in {1, 2, 8}, random per-block start positions and the extreme
 rows (all epsilon, the most alphas eq. (2) allows, full load).  The
 invariant checks keep their messages, and the memoised index tables
-stay within their memory budget.
+stay within their memory budget.  Only the scatter expands switch
+stages: a compile at n = 2^m composes stages once per level.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fastplan
 from repro.core.fastplan import compile_frame_plan, compile_level_gather
 from repro.core.tags import Tag
 from repro.errors import RoutingInvariantError
-from repro.rbn import fast_scatter
+from repro.rbn import fast, fast_scatter
 from repro.rbn.bitsort import route_to_compact
 from repro.rbn.cells import Cell
 from repro.rbn.fast import (
@@ -109,6 +114,13 @@ def test_scatter_batch_matches_reference(n, blocks, rng):
         assert [(c.tag, c.data) for c in got] == [(c.tag, c.data) for c in want]
 
 
+def _reference_sort(gamma_row, s):
+    cells = [Cell(Tag.ONE if g else Tag.ZERO, data=i)
+             for i, g in enumerate(gamma_row)]
+    want = route_to_compact(cells, s, lambda t: t is Tag.ONE)
+    return [c.data for c in want]
+
+
 @pytest.mark.parametrize(
     "n,blocks,rng", list(_cases(2)), ids=lambda v: str(v) if isinstance(v, int) else ""
 )
@@ -122,10 +134,64 @@ def test_sort_batch_matches_reference(n, blocks, rng):
     s = np.array([rng.randrange(n) for _ in range(blocks)])
     perm = fast_sort_permutation_batch(gamma, s)
     for b in range(blocks):
-        cells = [Cell(Tag.ONE if g else Tag.ZERO, data=i)
-                 for i, g in enumerate(gamma[b].tolist())]
-        want = route_to_compact(cells, int(s[b]), lambda t: t is Tag.ONE)
-        assert perm[b].tolist() == [c.data for c in want]
+        assert perm[b].tolist() == _reference_sort(gamma[b].tolist(), int(s[b]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_sort_closed_form_exhaustive(n):
+    """Every gamma vector and every start ``s``, as one batch."""
+    rows = [(g, s) for g in itertools.product((0, 1), repeat=n)
+            for s in range(n)]
+    gamma = np.array([g for g, _ in rows])
+    s_vals = np.array([s for _, s in rows])
+    perm = fast_sort_permutation_batch(gamma, s_vals)
+    for b, (g, s) in enumerate(rows):
+        assert perm[b].tolist() == _reference_sort(g, s), (g, s)
+
+
+@st.composite
+def _sort_batches(draw):
+    n = 2 ** draw(st.integers(1, 10))
+    blocks = draw(st.sampled_from(BLOCKS))
+    kinds = st.sampled_from(("random", "all", "none"))
+    gamma = []
+    for _ in range(blocks):
+        kind = draw(kinds)
+        if kind == "random":
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            row = np.random.default_rng(seed).integers(0, 2, n).tolist()
+        else:
+            row = [int(kind == "all")] * n
+        gamma.append(row)
+    s = draw(st.lists(st.integers(0, n - 1), min_size=blocks, max_size=blocks))
+    return np.array(gamma), np.array(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sort_batches())
+def test_sort_closed_form_matches_reference(batch):
+    gamma, s = batch
+    perm = fast_sort_permutation_batch(gamma, s)
+    for b in range(gamma.shape[0]):
+        assert perm[b].tolist() == _reference_sort(gamma[b].tolist(), int(s[b]))
+
+
+@pytest.mark.parametrize("m", [2, 5, 10])
+def test_only_the_scatter_composes_stages(monkeypatch, m):
+    """A compile at n = 2^m expands switch stages once per level
+    (m - 1 levels), all from the scatter: the bit sort stays closed
+    form."""
+    calls = []
+    compose = fast.compose_stages
+
+    def counted(*args):
+        calls.append(None)
+        return compose(*args)
+
+    monkeypatch.setattr(fast, "compose_stages", counted)
+    monkeypatch.setattr(fast_scatter, "compose_stages", counted)
+    compile_frame_plan(random_multicast(2 ** m, load=1.0, seed=m))
+    assert len(calls) == m - 1
 
 
 @pytest.mark.parametrize(
