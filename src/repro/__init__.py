@@ -47,9 +47,10 @@ Subpackages:
 * :mod:`repro.resilience` — the overload-serving layer (deadline
   budgets, admission control, circuit breakers, warm-restart
   snapshots).
-* :mod:`repro.control` — the adaptive control plane (sliding-window
-  signal aggregation, pure AIMD/backoff controllers, a
-  deterministic tick loop with a replayable decision log).
+* :mod:`repro.control` — the adaptive control plane (a
+  deterministic tick loop that samples the admission gate's sheds, the
+  breaker state and the backlog, pure AIMD/backoff controllers, and a
+  replayable decision log).
 * :mod:`repro.cluster` — the multi-replica serving tier (plan-affinity
   rendezvous placement, health-aware failover, zero-loss rolling
   restarts over K independent fabrics).

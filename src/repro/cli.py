@@ -656,14 +656,18 @@ def _cmd_chaos(args) -> int:
     if given:
         print(f"{', '.join(given)} require --overload", file=sys.stderr)
         return 2
-    plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
     metrics = MetricsObserver()
-    cfg = NetworkConfig(
-        args.n, engine=args.engine, fault_plan=plan, observer=metrics
-    )
-    fabric = MulticastFabric(
-        cfg, retry_policy=RetryPolicy(max_retries=args.retries)
-    )
+    try:
+        plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
+        cfg = NetworkConfig(
+            args.n, engine=args.engine, fault_plan=plan, observer=metrics
+        )
+        fabric = MulticastFabric(
+            cfg, retry_policy=RetryPolicy(max_retries=args.retries)
+        )
+    except ValueError as exc:
+        print(f"bad chaos campaign parameters: {exc}", file=sys.stderr)
+        return 2
 
     print(
         f"chaos campaign: n={args.n} frames={args.frames} "

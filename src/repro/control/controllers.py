@@ -2,7 +2,7 @@
 
 Each controller here is a *pure function* over immutable inputs — a
 :class:`~repro.control.policy.ControlPolicy`, a
-:class:`~repro.control.signals.SignalWindow` and the controller's own
+:class:`SignalWindow` and the controller's own
 frozen state — returning a new state plus the :class:`ControlAction`s
 that would move the actuators there.  No controller touches an
 actuator, reads a clock, or keeps hidden state; the
@@ -28,15 +28,38 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .policy import ControlPolicy
-from .signals import SignalWindow
 
 __all__ = [
+    "SignalWindow",
     "ControlAction",
     "AdmissionState",
     "BackoffState",
     "admission_step",
     "backoff_step",
 ]
+
+
+@dataclass(frozen=True)
+class SignalWindow:
+    """What the controllers see of the last ``window_ticks`` ticks.
+
+    The control plane builds one per tick from state it samples on the
+    submitting thread, so every field is a pure function of the seed
+    and the arrival trace.
+
+    Attributes:
+        shed_high: priority > 0 frames the bound gate shed in the
+            window — the signal the AIMD loop exists to drive to zero.
+        shed_low: priority <= 0 frames shed in the window.
+        queue_depth: backlog depth sampled at the most recent tick.
+        breaker_half_open: True when the circuit breaker was HALF_OPEN
+            at the most recent tick.
+    """
+
+    shed_high: int = 0
+    shed_low: int = 0
+    queue_depth: int = 0
+    breaker_half_open: bool = False
 
 
 @dataclass(frozen=True)

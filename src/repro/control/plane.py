@@ -1,11 +1,12 @@
 """The control plane: one tick loop binding signals to actuators.
 
 :class:`ControlPlane` is the only stateful, side-effecting piece of
-:mod:`repro.control`.  It owns the
-:class:`~repro.control.signals.SignalAggregator` (spliced into the
-owner's observer chain so it sees every event), drives the pure
-controllers of :mod:`repro.control.controllers` once per tick, and
-applies whatever actions they return to the actuators it was bound to:
+:mod:`repro.control`.  Once per tick it samples the actuators it was
+bound to — the admission gate's shed counts, the circuit breaker's
+state — plus the owner's backlog depth, folds them into a
+:class:`~repro.control.controllers.SignalWindow`, drives the pure
+controllers of :mod:`repro.control.controllers`, and applies whatever
+actions they return:
 
 ======================  ==========================================
 controller              actuator
@@ -31,20 +32,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
+from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from ..obs.events import CompositeObserver, emit
+from ..obs.events import emit
 from .controllers import (
     AdmissionState,
     BackoffState,
+    SignalWindow,
     admission_step,
     backoff_step,
 )
 from .policy import ControlPolicy
-from .signals import SignalAggregator
 
-__all__ = ["ControlPlane", "control_for"]
+__all__ = ["ControlPlane"]
 
 _LOG_FORMAT_VERSION = 1
 
@@ -57,11 +58,10 @@ class ControlPlane:
             envelope (default: ``ControlPolicy()``).
         observer: optional :class:`~repro.obs.events.Observer`
             receiving ``control`` events (the owner's configured
-            observer — the plane's own signal aggregator is separate
-            and always on).
+            observer).
 
-    Lifecycle: the owner (fabric or simulator) gets the plane and its
-    spliced config from :func:`control_for`, :meth:`bind`\\ s
+    Lifecycle: the owner (fabric or simulator) builds the plane when its
+    config carries a ``control`` policy, :meth:`bind`\\ s
     whichever actuators it built, then calls :meth:`maybe_tick` once
     per service opportunity (submission / slot) on the submitting
     thread.  Only bound actuators are controlled; everything else is
@@ -75,13 +75,18 @@ class ControlPlane:
         observer: Optional[object] = None,
     ):
         self.policy = policy if policy is not None else ControlPolicy()
-        self.signals = SignalAggregator(self.policy.window_ticks)
         self.observer = observer
         self.tick_count = 0
+        #: The window the controllers saw at the most recent tick.
+        self.window = SignalWindow()
         self._events_since_tick = 0
         self._decisions: List[Dict[str, object]] = []
         # Actuators (None until bind()).
         self._gate = None
+        # The gate's (high, low) shed totals at the last sample, and
+        # the per-tick differences of the last ``window_ticks`` ticks.
+        self._shed_seen = (0, 0)
+        self._shed_ticks: deque = deque(maxlen=self.policy.window_ticks)
         self._breaker = None
         self._retry_base = None
         self._retry_setter: Optional[Callable] = None
@@ -101,7 +106,8 @@ class ControlPlane:
 
         Args:
             gate: an :class:`~repro.resilience.gate.AdmissionGate`; its
-                current policy seeds the AIMD state.
+                current policy seeds the AIMD state, and its shed counts
+                from now on are the window's shed signals.
             breaker: a
                 :class:`~repro.resilience.breaker.CircuitBreaker`
                 sampled (never driven) for HALF_OPEN at tick time.
@@ -116,6 +122,7 @@ class ControlPlane:
         """
         if gate is not None:
             self._gate = gate
+            self._shed_seen = self._gate_sheds()
             burst = gate.policy.burst
             cap = burst - 1.0 if math.isfinite(burst) else math.inf
             self._admission = AdmissionState(
@@ -148,21 +155,36 @@ class ControlPlane:
         self.tick(queue_depth)
         return True
 
+    def _gate_sheds(self):
+        """The bound gate's shed totals as ``(priority > 0, the rest)``."""
+        gate = self._gate
+        high = sum(c for p, c in gate.shed_by_priority.items() if p > 0)
+        return high, gate.shed - high
+
     def tick(self, queue_depth: int = 0) -> None:
         """Run one control tick: sample, window, decide, actuate.
 
-        The breaker state is sampled synchronously on the calling
-        thread, so the resulting window, and therefore every decision,
-        is replayable.
+        The gate's shed counts and the breaker state are sampled
+        synchronously on the calling thread, so the resulting window,
+        and therefore every decision, is replayable.  Sheds are flows
+        (summed over the window); ``queue_depth`` and the breaker state
+        are levels (this tick's sample).
         """
-        half_open = (
-            self._breaker is not None and self._breaker.state == "half_open"
-        )
-        self.signals.close_tick(
+        shed = (0, 0)
+        if self._gate is not None:
+            seen_high, seen_low = self._shed_seen
+            high, low = self._shed_seen = self._gate_sheds()
+            shed = (high - seen_high, low - seen_low)
+        self._shed_ticks.append(shed)
+        window = self.window = SignalWindow(
+            shed_high=sum(tick[0] for tick in self._shed_ticks),
+            shed_low=sum(tick[1] for tick in self._shed_ticks),
             queue_depth=queue_depth,
-            breaker_half_open=half_open,
+            breaker_half_open=(
+                self._breaker is not None
+                and self._breaker.state == "half_open"
+            ),
         )
-        window = self.signals.window()
         self.tick_count += 1
         emit(self.observer, "control", "tick", tick=self.tick_count)
 
@@ -230,18 +252,3 @@ class ControlPlane:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-
-def control_for(cfg):
-    """The control plane ``cfg`` asks for, and the config to build under it.
-
-    Returns ``(None, cfg)`` when ``cfg.control`` is None.  Otherwise the
-    plane's signal aggregator is spliced in FRONT of the caller's
-    observer, so it sees every event the owner's network and gate emit;
-    control events go to the caller's observer only.
-    """
-    if cfg.control is None:
-        return None, cfg
-    plane = ControlPlane(cfg.control, observer=cfg.observer)
-    return plane, replace(
-        cfg, observer=CompositeObserver(plane.signals, cfg.observer)
-    )

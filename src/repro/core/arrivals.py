@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..control.plane import control_for
+from ..control.plane import ControlPlane
 from ..errors import InvalidAssignmentError
 from ..faults import healing
 from ..obs.events import emit
@@ -258,7 +258,11 @@ class QueueingSimulator:
             )
         if max_requeues < 0:
             raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
-        self.control, cfg = control_for(cfg)
+        self.control = (
+            None
+            if cfg.control is None
+            else ControlPlane(cfg.control, observer=cfg.observer)
+        )
         self.n = cfg.n
         self.policy = policy
         self.network = build_network(cfg)

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List
 
-from ..control.plane import control_for
+from ..control.plane import ControlPlane
 from ..errors import RoutingInvariantError
 from ..faults import healing
 from ..faults.health import HealthTracker
@@ -146,9 +146,9 @@ class MulticastFabric:
     plane.  All three default to off and cost nothing when unset.
 
     With ``control`` on the config, a
-    :class:`~repro.control.plane.ControlPlane` watches the fabric's
-    event stream and retunes the bound actuators (admission rate and
-    reserve, retry backoff) once per submission tick; decisions are
+    :class:`~repro.control.plane.ControlPlane` samples the fabric's
+    gate and breaker and retunes the bound actuators (admission rate
+    and reserve, retry backoff) once per submission tick; decisions are
     logged on :attr:`MulticastFabric.control` and
     emitted as ``control`` events.
     With ``snapshot_path``, :meth:`close` writes a warm-restart
@@ -182,8 +182,11 @@ class MulticastFabric:
         retry_policy=None,
         health=None,
     ):
-        self.control, cfg = control_for(
-            _resolve_config(n, observer=observer)
+        cfg = _resolve_config(n, observer=observer)
+        self.control = (
+            None
+            if cfg.control is None
+            else ControlPlane(cfg.control, observer=cfg.observer)
         )
         self.config = cfg
         self.network = build_network(cfg)

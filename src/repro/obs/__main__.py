@@ -14,14 +14,17 @@ import sys
 from .reference import update_generated_section
 
 
+_USAGE = "usage: python -m repro.obs docs/metrics_reference.md"
+
+
 def main(argv=None) -> int:
     """Rewrite the generated section of the given page in place."""
     args = sys.argv[1:] if argv is None else argv
+    if args in (["-h"], ["--help"]):
+        print(_USAGE)
+        return 0
     if len(args) != 1:
-        print(
-            "usage: python -m repro.obs docs/metrics_reference.md",
-            file=sys.stderr,
-        )
+        print(_USAGE, file=sys.stderr)
         return 2
     path = args[0]
     with open(path) as fh:

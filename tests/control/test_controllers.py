@@ -1,7 +1,5 @@
 """The pure control laws: identical inputs, identical decisions."""
 
-import pytest
-
 from repro.control import (
     AdmissionState,
     BackoffState,
@@ -23,9 +21,7 @@ POLICY = ControlPolicy(
 )
 
 
-def window(**kwargs) -> SignalWindow:
-    kwargs.setdefault("ticks", 4)
-    return SignalWindow(**kwargs)
+window = SignalWindow
 
 
 class TestAdmissionStep:
@@ -140,27 +136,3 @@ class TestBackoffStep:
                 BackoffState(scale=scale),
             )
             assert new.scale == scale and actions == []
-
-
-class TestAdvisorySignalsIgnored:
-    """Wall-clock and plan-cache fields must never steer a decision."""
-
-    @pytest.mark.parametrize(
-        "advisory",
-        [
-            {"serve_ns": 10**12},
-            {"cache_hits": 500},
-            {"cache_misses": 500},
-        ],
-    )
-    def test_decisions_blind_to_advisory_fields(self, advisory):
-        base = window(queue_depth=8)
-        noisy = window(queue_depth=8, **advisory)
-        a_state = AdmissionState(rate=1.5, reserve=0.5)
-        b_state = BackoffState(scale=1.0)
-        assert admission_step(POLICY, base, a_state) == admission_step(
-            POLICY, noisy, a_state
-        )
-        assert backoff_step(POLICY, base, b_state) == backoff_step(
-            POLICY, noisy, b_state
-        )

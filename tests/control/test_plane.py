@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro.control import ControlPlane, ControlPolicy, SignalAggregator
+from repro.control import ControlPlane, ControlPolicy, SignalWindow
+from repro.core import NetworkConfig
+from repro.core.arrivals import QueueingSimulator
+from repro.core.fabric import MulticastFabric
 from repro.obs import MetricsObserver, Observer
-from repro.obs.events import Event
 from repro.resilience import AdmissionGate, AdmissionPolicy
 from repro.faults import RetryPolicy
 
@@ -22,64 +24,124 @@ class RecordingObserver(Observer):
             self.events.append(event)
 
 
-def gate_event(kind, priority):
-    return Event(kind, "resilience.gate", fields={"priority": priority})
+def make_gate(rate=1.0, burst=8.0):
+    return AdmissionGate(AdmissionPolicy(rate=rate, burst=burst))
 
 
-def shed_high(aggregator, count=1):
-    for _ in range(count):
-        aggregator.on_event(gate_event("shed", 1))
+def shed(gate, priority=1, count=1):
+    """Drive ``gate`` until it has shed ``count`` more frames of
+    ``priority`` (admitting frames drains its bucket first)."""
+    target = gate.shed_by_priority.get(priority, 0) + count
+    while gate.shed_by_priority.get(priority, 0) < target:
+        gate.admit(priority=priority)
 
 
-class TestSignalAggregator:
+def bound_plane(policy=None, **kwargs):
+    """A plane bound to a fresh gate; returns ``(plane, gate)``."""
+    gate = make_gate()
+    plane = ControlPlane(policy or ControlPolicy(), **kwargs)
+    plane.bind(gate=gate)
+    return plane, gate
+
+
+class TestSignalWindow:
     def test_empty_window(self):
-        agg = SignalAggregator(4)
-        w = agg.window()
-        assert w.ticks == 0 and w.frames == 0
+        assert ControlPlane(ControlPolicy()).window == SignalWindow()
 
-    def test_counts_fold_into_current_bucket(self):
-        agg = SignalAggregator(4)
-        agg.on_event(
-            Event(
-                "frame_done",
-                "brsmn",
-                1,
-                fields={"deliveries": 3, "frames": 2, "duration_ns": 0},
-            )
+    def test_sheds_split_by_priority(self):
+        plane, gate = bound_plane()
+        shed(gate, priority=2)
+        shed(gate, priority=1)
+        shed(gate, priority=0, count=2)
+        shed(gate, priority=-1)
+        plane.tick(queue_depth=7)
+        assert plane.window == SignalWindow(
+            shed_high=2, shed_low=3, queue_depth=7
         )
-        agg.on_event(gate_event("admitted", 1))
-        agg.on_event(gate_event("shed", 0))
-        agg.on_event(Event("retry", "faults.healing"))
-        agg.on_event(
-            Event("lost", "faults.healing", fields={"terminals": (3, 5)})
-        )
-        agg.close_tick(queue_depth=7)
-        w = agg.window()
-        assert w.ticks == 1 and w.frames == 2
-        assert w.admitted_high == 1 and w.shed_low == 1
-        assert w.retries == 1 and w.lost_terminals == 2
-        assert w.queue_depth == 7
 
     def test_window_slides(self):
-        agg = SignalAggregator(2)
+        plane, gate = bound_plane(ControlPolicy(window_ticks=2))
         for depth in (1, 2, 3):
-            agg.on_event(gate_event("shed", 1))
-            agg.close_tick(queue_depth=depth)
-        w = agg.window()
-        assert w.ticks == 2        # oldest bucket evicted
-        assert w.shed_high == 2    # flows sum over the window
+            shed(gate)
+            plane.tick(queue_depth=depth)
+        w = plane.window
+        assert w.shed_high == 2    # oldest tick evicted, flows summed
         assert w.queue_depth == 3  # levels come from the latest tick
 
     def test_levels_not_summed(self):
-        agg = SignalAggregator(4)
-        agg.close_tick(queue_depth=10, breaker_half_open=True)
-        agg.close_tick(queue_depth=0, breaker_half_open=False)
-        w = agg.window()
-        assert w.queue_depth == 0 and not w.breaker_half_open
+        class Breaker:
+            state = "half_open"
+
+        plane = ControlPlane(ControlPolicy())
+        plane.bind(breaker=Breaker())
+        plane.tick(queue_depth=10)
+        assert plane.window.breaker_half_open
+        Breaker.state = "closed"
+        plane.tick(queue_depth=0)
+        assert plane.window == SignalWindow()
+
+    def test_rebinding_resets_the_shed_baseline(self):
+        plane, first = bound_plane(ControlPolicy(window_ticks=1))
+        shed(first, count=3)
+        plane.tick()
+        assert plane.window.shed_high == 3
+        # The new gate has shed more than the old one: only its sheds
+        # after the bind may count, not the difference of the totals.
+        second = make_gate()
+        shed(second, count=5)
+        plane.bind(gate=second)
+        plane.tick()
+        assert plane.window.shed_high == 0
+        shed(second, count=2)
+        plane.tick()
+        assert plane.window.shed_high == 2
+
+
+class TestSignalAggregator:
+    """The signal window the plane keeps itself (it once had its own
+    aggregator class) still refuses a window of no ticks by name."""
 
     def test_bad_window_rejected_by_name(self):
         with pytest.raises(ValueError, match="window_ticks"):
-            SignalAggregator(0)
+            ControlPlane(ControlPolicy(window_ticks=0))
+
+
+class TestObserverChainUntouched:
+    """Control reads its bound actuators, never the observer chain."""
+
+    @pytest.mark.parametrize(
+        "observer", [None, MetricsObserver()], ids=["none", "metrics"]
+    )
+    def test_fabric_keeps_the_callers_observer(self, observer):
+        fabric = MulticastFabric(
+            NetworkConfig(
+                8,
+                admission=AdmissionPolicy(rate=1.0, burst=2.0),
+                control=ControlPolicy(),
+                observer=observer,
+            )
+        )
+        assert fabric.control is not None
+        assert fabric.observer is observer
+        assert fabric.network.observer is observer
+        assert fabric.gate.observer is observer
+
+    @pytest.mark.parametrize(
+        "observer", [None, MetricsObserver()], ids=["none", "metrics"]
+    )
+    def test_simulator_keeps_the_callers_observer(self, observer):
+        sim = QueueingSimulator(
+            NetworkConfig(
+                8,
+                admission=AdmissionPolicy(rate=1.0, burst=2.0),
+                control=ControlPolicy(),
+                observer=observer,
+            )
+        )
+        assert sim.control is not None
+        assert sim.observer is observer
+        assert sim.network.observer is observer
+        assert sim.gate.observer is observer
 
 
 class TestTickCadence:
@@ -101,16 +163,14 @@ class TestTickCadence:
 
 class TestGateActuation:
     def test_shed_high_raises_gate_rate_and_reserve(self):
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=8.0))
-        plane = ControlPlane(ControlPolicy(rate_increase=0.5))
-        plane.bind(gate=gate)
-        shed_high(plane.signals)
+        plane, gate = bound_plane(ControlPolicy(rate_increase=0.5))
+        shed(gate)
         plane.tick(queue_depth=0)
         assert gate.policy.rate == 1.5
         assert gate.policy.reserve == 0.5
 
     def test_backlog_cuts_gate_rate(self):
-        gate = AdmissionGate(AdmissionPolicy(rate=4.0, burst=8.0))
+        gate = make_gate(rate=4.0)
         plane = ControlPlane(ControlPolicy(backlog_high=10.0))
         plane.bind(gate=gate)
         plane.tick(queue_depth=50)
@@ -119,19 +179,19 @@ class TestGateActuation:
     def test_reserve_never_reaches_gate_burst(self):
         # The gate would raise on reserve >= burst; the plane's
         # reserve_cap keeps every decided value applicable.
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=2.0))
+        gate = make_gate(burst=2.0)
         plane = ControlPlane(
             ControlPolicy(reserve_step=5.0, reserve_max=100.0)
         )
         plane.bind(gate=gate)
         for _ in range(4):
-            shed_high(plane.signals)
+            shed(gate)
             plane.tick(queue_depth=0)
         assert gate.policy.reserve == 1.0  # burst - 1, not reserve_max
 
     def test_unbound_plane_ticks_without_actuating(self):
         plane = ControlPlane(ControlPolicy())
-        shed_high(plane.signals)
+        shed(make_gate())
         plane.tick(queue_depth=99)
         assert plane.decision_log() == []
 
@@ -160,10 +220,8 @@ class TestBackoffActuation:
 
 class TestDecisionLog:
     def make_logged_plane(self):
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=8.0))
-        plane = ControlPlane(ControlPolicy())
-        plane.bind(gate=gate)
-        shed_high(plane.signals)
+        plane, gate = bound_plane()
+        shed(gate)
         plane.tick(queue_depth=0)
         return plane
 
@@ -191,10 +249,8 @@ class TestDecisionLog:
 
     def test_adjust_events_mirror_the_log(self):
         rec = RecordingObserver()
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=8.0))
-        plane = ControlPlane(ControlPolicy(), observer=rec)
-        plane.bind(gate=gate)
-        shed_high(plane.signals)
+        plane, gate = bound_plane(observer=rec)
+        shed(gate)
         plane.tick(queue_depth=0)
         adjusts = [e for e in rec.events if e.kind == "adjust"]
         log = plane.decision_log()
@@ -209,10 +265,8 @@ class TestDecisionLog:
 class TestControlMetrics:
     def test_metric_families_populated(self):
         metrics = MetricsObserver()
-        gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=8.0))
-        plane = ControlPlane(ControlPolicy(), observer=metrics)
-        plane.bind(gate=gate)
-        shed_high(plane.signals)
+        plane, gate = bound_plane(observer=metrics)
+        shed(gate)
         plane.tick(queue_depth=0)
         doc = json.loads(metrics.registry.to_json())
         by_name = {m["name"]: m for m in doc["metrics"]}

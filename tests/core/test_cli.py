@@ -191,6 +191,27 @@ class TestCampaignExitContract:
             assert summary["n"] == 16
             assert json.loads(metrics_path.read_text())["metrics"]
 
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            (command, bad)
+            for command in sorted(_CAMPAIGNS)
+            for bad in (["--n", "12"], ["--faults", "999"], ["--retries", "-1"])
+            if not (command == "cluster" and bad[0] == "--retries")
+        ],
+        ids=lambda v: v if isinstance(v, str) else "".join(v).lstrip("-"),
+    )
+    def test_bad_parameters_exit_2(self, command, bad, tmp_path, capsys):
+        summary_path = tmp_path / "summary.json"
+        args = ["--n", "16", "--frames", "8", "--summary-out",
+                str(summary_path)]
+        rc = main(_CAMPAIGNS[command] + args + bad)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "campaign parameters" in err
+        assert "Traceback" not in err
+        assert not summary_path.exists()
+
 
 class TestMetricsOutPaths:
     def test_stats_creates_parent_directories(self, tmp_path, capsys):

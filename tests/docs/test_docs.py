@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.reference import (
     BEGIN_MARK,
     END_MARK,
@@ -106,6 +107,16 @@ class TestMetricsReference:
         assert text.count(BEGIN_MARK) == 1
         assert text.count(END_MARK) == 1
         assert text.index(BEGIN_MARK) < text.index(END_MARK)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_regeneration_command_help(self, flag, capsys):
+        assert obs_main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro.obs")
+
+    def test_regeneration_command_needs_a_page(self, capsys):
+        assert obs_main([]) == 2
+        assert capsys.readouterr().err.startswith("usage:")
 
 
 class TestNoStaleKwargs:

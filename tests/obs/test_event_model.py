@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.control import SignalAggregator
 from repro.obs import Event, MetricsObserver, Observer, TracingObserver
 from repro.obs.metrics_observer import FAMILIES
 
@@ -105,12 +104,3 @@ class TestUnknownEventsAreIgnored:
         tr.on_event(event)
         assert tr.events == [] and tr.queue_samples == []
         assert tr.timelines() == []
-
-    @pytest.mark.parametrize("event", UNKNOWN, ids=lambda e: f"{e.stage}:{e.kind}")
-    def test_signal_aggregator(self, event):
-        agg = SignalAggregator(2)
-        agg.on_event(event)
-        agg.close_tick()
-        empty = SignalAggregator(2)
-        empty.close_tick()
-        assert agg.window() == empty.window()
