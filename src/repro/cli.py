@@ -698,18 +698,12 @@ def _cmd_chaos(args) -> int:
     )
     print()
 
-    delivered = recovered = lost = 0
-    for i in range(args.frames):
-        assignment = random_multicast(args.n, seed=args.seed + 1 + i)
-        result = fabric.submit(assignment)
-        terminals = assignment.total_fanout
-        if hasattr(result, "outcomes"):  # DegradedResult (primary plane)
-            recovered += len(result.recovered)
-            lost += len(result.lost)
-            delivered += terminals - len(result.recovered) - len(result.lost)
-        else:  # RoutingResult (standby plane, fault-free)
-            delivered += terminals
-    stats = fabric.stats
+    stats = fabric.run(
+        random_multicast(args.n, seed=args.seed + 1 + i)
+        for i in range(args.frames)
+    )
+    recovered, lost = stats.recovered_terminals, stats.lost_terminals
+    delivered = stats.deliveries - recovered
     print(
         f"frames: {stats.frames} routed, {stats.degraded_frames} degraded, "
         f"{stats.lost_frames} with losses, "

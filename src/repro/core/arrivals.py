@@ -11,43 +11,39 @@ layer:
   distribution;
 * :class:`QueueingSimulator` — per slot: enqueue the new arrivals,
   greedily pack one conflict-free frame from the backlog
-  (largest-first or FIFO), route it through a real network (verified),
-  and record each request's waiting time;
+  (largest-first or FIFO), serve it through a
+  :class:`~repro.core.fabric.MulticastFabric` (verified), and record
+  each request's waiting time;
 * :class:`QueueingReport` — waiting-time and backlog statistics.
 
 The point: the nonblocking guarantee is per *frame*; end-to-end call
 latency is a queueing phenomenon governed by port contention, which
 this simulation measures instead of hand-waving.
 
-When the config carries resilience settings, the simulator also runs
-the overload layer: an :class:`~repro.resilience.gate.AdmissionGate`
-admits or sheds each request *at arrival* (the gate ticks once per
-slot; shed requests are counted in :attr:`QueueingReport.shed` and
-never enter the backlog), and ``deadline_ms`` bounds each slot's
-healing retries through a
-:class:`~repro.resilience.budget.DeadlineBudget`.
+When the config carries an admission policy, an
+:class:`~repro.resilience.gate.AdmissionGate` admits or sheds each
+request *at arrival* (the gate ticks once per slot; shed requests are
+counted in :attr:`QueueingReport.shed` and never enter the backlog).
+Every other resilience setting (``deadline_ms``, ``breaker``,
+``snapshot_path``, and the fault plan's failover) acts on the fabric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter_ns
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..control.plane import ControlPlane
-from ..errors import InvalidAssignmentError
-from ..faults import healing
 from ..obs.events import emit
 from ..rbn.permutations import check_network_size
-from ..resilience.budget import DeadlineBudget
 from ..resilience.gate import AdmissionGate
 from .admission import Request, conflicts
 from .config import _resolve_config
+from .fabric import MulticastFabric
 from .multicast import MulticastAssignment
-from .routing import build_network
-from .verification import verify_result
 
 __all__ = [
     "Arrival",
@@ -149,7 +145,8 @@ class QueueingReport:
         waits: per-request waiting time in slots (service slot minus
             arrival slot).
         backlog_per_slot: backlog size at the end of each slot.
-        deliveries: total (output, message) deliveries.
+        deliveries: (output, message) deliveries verified during this
+            run, not over the fabric's lifetime.
         requeued: fault-aware runs — times a request's failed terminals
             were put back on the backlog for a later slot.
         abandoned: fault-aware runs — requests given up after
@@ -214,28 +211,27 @@ class QueueingSimulator:
             (overrides the config's); receives the routed frames'
             lifecycle events plus one end-of-slot ``queue_depth``
             event (stage ``arrivals``) per slot.
-        max_requeues: fault-aware runs — times a request's failed
-            terminals may be put back on the backlog before the request
-            is abandoned.
-        retry_policy: fault-aware runs — the
-            :class:`~repro.faults.healing.RetryPolicy` of the per-slot
-            healing loop.
+        max_requeues: times a request's lost terminals may be put
+            back on the backlog before the request is abandoned.
+        retry_policy: the fabric's
+            :class:`~repro.faults.healing.RetryPolicy` (fault-aware runs).
 
-    An ``admission`` policy on the config installs an
+    The simulator owns arrivals, the backlog, packing and requeue; each
+    slot's frame is served by one
+    :class:`~repro.core.fabric.MulticastFabric` (:attr:`fabric`) built
+    from the config minus ``admission`` and ``control``, so
+    verification, ``deadline_ms``, ``breaker``, ``snapshot_path`` and a
+    fault plan's failover to the standby act as in a fabric session.
+    Terminals a frame still loses are re-queued as a reduced request for
+    a later slot, bounded by ``max_requeues``.
+
+    An ``admission`` policy installs an
     :class:`~repro.resilience.gate.AdmissionGate` that admits or sheds
-    each request the slot it arrives (queue depth = current backlog);
-    ``deadline_ms`` bounds each slot's healing retries.  Both default
-    to off.  A ``control`` policy runs a
-    :class:`~repro.control.plane.ControlPlane` over the slot loop: one
-    deterministic control tick at the end of every slot, retuning the
-    gate's rate/reserve from the observed window (see
+    each request the slot it arrives (queue depth = current backlog).
+    A ``control`` policy runs a
+    :class:`~repro.control.plane.ControlPlane` that ticks at the end of
+    every slot, retuning the gate and the fabric's retry backoff (see
     ``docs/control_plane.md``).
-
-    When the config carries a non-empty fault plan, every slot's frame
-    is routed through :func:`~repro.faults.healing.route_with_healing`:
-    terminals the in-slot retries cannot reach are re-queued as a
-    reduced request for a later slot (a different backlog packing routes
-    them through different positions), bounded by ``max_requeues``.
 
     Single-threaded: :meth:`run` serves every slot on the calling
     thread, and one thread at a time drives a simulator.
@@ -265,19 +261,13 @@ class QueueingSimulator:
         )
         self.n = cfg.n
         self.policy = policy
-        self.network = build_network(cfg)
         self.observer = cfg.observer
         self.max_slots = max_slots
         self.max_requeues = max_requeues
-        self._fault_aware = (
-            cfg.fault_plan is not None and not cfg.fault_plan.is_empty
+        self.fabric = fabric = MulticastFabric(
+            replace(cfg, admission=None, control=None),
+            retry_policy=retry_policy,
         )
-        self.retry_policy = (
-            healing.RetryPolicy()
-            if retry_policy is None and self._fault_aware
-            else retry_policy
-        )
-        self.deadline_ms = cfg.deadline_ms
         self.gate = (
             None
             if cfg.admission is None
@@ -286,8 +276,9 @@ class QueueingSimulator:
         if self.control is not None:
             self.control.bind(
                 gate=self.gate,
-                retry_policy=self.retry_policy,
-                retry_setter=lambda p: setattr(self, "retry_policy", p),
+                breaker=fabric.breaker,
+                retry_policy=fabric.retry_policy,
+                retry_setter=lambda p: setattr(fabric, "retry_policy", p),
             )
 
     def _pack_frame(self, backlog: List[Arrival]) -> List[int]:
@@ -312,10 +303,12 @@ class QueueingSimulator:
             RuntimeError: if the backlog fails to drain within
                 ``max_slots`` (offered load persistently above
                 capacity).
+            RoutingInvariantError: if a frame fails verification.
         """
         report = QueueingReport(n=self.n)
         obs = self.observer
         observed = obs is not None and obs.enabled
+        deliveries_before = self.fabric.stats.deliveries
         pending = sorted(arrivals, key=lambda a: a.slot)
         backlog: List[Arrival] = []
         # Requeue budget per in-backlog arrival object; entries are
@@ -346,30 +339,14 @@ class QueueingSimulator:
             if chosen:
                 serve_start = perf_counter_ns()
                 dests: List[Optional[List[int]]] = [None] * self.n
-                payloads: List[object] = [None] * self.n
                 for i in chosen:
                     r = backlog[i].request
                     dests[r.source] = sorted(r.destinations)
-                    payloads[r.source] = r.payload
-                frame = MulticastAssignment(self.n, dests)
-                if self._fault_aware:
-                    served_now, requeues = self._serve_healed(
-                        frame, payloads, backlog, chosen,
-                        slot, report, requeue_counts,
-                    )
-                else:
-                    result = self.network.route(frame, payloads=payloads)
-                    check = verify_result(result)
-                    if not check.ok:
-                        raise InvalidAssignmentError(
-                            "queueing frame failed verification: "
-                            + "; ".join(check.violations)
-                        )
-                    report.deliveries += check.deliveries
-                    for i in chosen:
-                        report.waits.append(slot - backlog[i].slot)
-                        report.served += 1
-                    served_now, requeues = len(chosen), []
+                result = self.fabric.submit(MulticastAssignment(self.n, dests))
+                served_now, requeues = self._settle(
+                    set(getattr(result, "lost", ())), backlog, chosen,
+                    slot, report, requeue_counts,
+                )
                 taken = set(chosen)
                 backlog = [
                     a for k, a in enumerate(backlog) if k not in taken
@@ -385,41 +362,26 @@ class QueueingSimulator:
             slot += 1
             report.backlog_per_slot.append(len(backlog))
         report.slots_run = slot
+        report.deliveries = self.fabric.stats.deliveries - deliveries_before
         return report
 
     def close(self) -> None:
-        """Close the network (a no-op kept for a uniform session
-        lifecycle; see :meth:`~repro.core.brsmn.BRSMN.close`)."""
-        close = getattr(self.network, "close", None)
-        if close is not None:
-            close()
+        """End the session: close the fabric, which first writes its
+        warm-restart snapshot when the config sets ``snapshot_path``
+        (see :meth:`~repro.core.fabric.MulticastFabric.close`)."""
+        self.fabric.close()
 
-    def _serve_healed(
-        self, frame, payloads, backlog, chosen, slot, report, requeue_counts
+    def _settle(
+        self, lost, backlog, chosen, slot, report, requeue_counts
     ) -> Tuple[int, List[Arrival]]:
-        """Serve one slot's frame through the healing loop.
+        """Account one served slot's requests against its lost terminals.
 
-        Requests whose terminals the in-slot retries could not reach are
-        put back on the backlog as a *reduced* request (only the failed
+        Requests whose terminals the fabric could not reach are put back
+        on the backlog as a *reduced* request (only the failed
         terminals, original arrival slot) up to ``max_requeues`` times,
-        then abandoned.  With ``deadline_ms`` on the config, a fresh
-        :class:`~repro.resilience.budget.DeadlineBudget` bounds the
-        slot's retries.  Returns the number of requests fully served
+        then abandoned.  Returns the number of requests fully served
         this slot and the reduced requests to append to the backlog.
         """
-        result = healing.route_with_healing(
-            self.network,
-            frame,
-            payloads=payloads,
-            policy=self.retry_policy,
-            budget=(
-                None
-                if self.deadline_ms is None
-                else DeadlineBudget(self.deadline_ms)
-            ),
-        )
-        report.deliveries += result.verification.deliveries
-        lost = set(result.lost)
         served_now = 0
         requeues: List[Arrival] = []
         for i in chosen:

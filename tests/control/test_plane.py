@@ -140,7 +140,7 @@ class TestObserverChainUntouched:
         )
         assert sim.control is not None
         assert sim.observer is observer
-        assert sim.network.observer is observer
+        assert sim.fabric.network.observer is observer
         assert sim.gate.observer is observer
 
 

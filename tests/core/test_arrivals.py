@@ -9,6 +9,8 @@ from repro.core.arrivals import (
     QueueingSimulator,
     poisson_arrivals,
 )
+from repro.faults import FaultPlan
+from repro.resilience import BreakerPolicy, FabricSnapshot
 
 
 class TestPoissonArrivals:
@@ -100,3 +102,40 @@ class TestQueueingSimulator:
             poisson_arrivals(16, rate=4.0, slots=60, seed=9)
         )
         assert heavy.mean_wait >= light.mean_wait
+
+
+class TestServedThroughFabric:
+    """Every slot's frame goes through the simulator's one fabric."""
+
+    def test_deliveries_are_per_run(self):
+        sim = QueueingSimulator(16)
+        arrivals = poisson_arrivals(16, rate=1.0, slots=10, seed=1)
+        first = sim.run(arrivals)
+        second = sim.run(arrivals)
+        assert first.deliveries > 0
+        assert second.deliveries == first.deliveries
+        assert sim.fabric.stats.deliveries == 2 * first.deliveries
+
+    def test_breaker_and_snapshot_path_take_effect(self, tmp_path):
+        path = tmp_path / "sim.json"
+        cfg = NetworkConfig(
+            16,
+            engine="fast",
+            fault_plan=FaultPlan.random(16, faults=2, seed=1),
+            breaker=BreakerPolicy(),
+            snapshot_path=str(path),
+        )
+        arrivals = poisson_arrivals(16, rate=1.0, slots=10, seed=2)
+        sim = QueueingSimulator(cfg)
+        assert sim.fabric.breaker is not None
+        sim.run(arrivals)
+        sim.close()
+        snap = FabricSnapshot.load(str(path))
+        assert snap.assignments and snap.breaker is not None
+
+        warm = QueueingSimulator(cfg)
+        try:
+            assert len(warm.fabric.network.plan_cache) == len(snap.assignments)
+            assert warm.fabric.breaker.snapshot() == snap.breaker
+        finally:
+            warm.close()

@@ -157,6 +157,11 @@ _CAMPAIGNS = {
     "cluster": ["cluster"],
 }
 
+# The small faulted overload campaign fails over to the standby and
+# loses nothing; this one still loses a terminal with failover on.
+_LOSSY_OVERLOAD = ["--n", "64", "--frames", "100", "--faults", "4",
+                   "--retries", "0", "--seed", "1", "--arrival-rate", "4"]
+
 
 class TestCampaignExitContract:
     """Every campaign command ends the same way: summary, metrics, then
@@ -175,10 +180,13 @@ class TestCampaignExitContract:
         parent = tmp_path / ("blocker" if unwritable else "out")
         summary_path = parent / "summary.json"
         metrics_path = tmp_path / "out" / "metrics.json"
+        sized = ["--n", "16", "--frames", "8", "--faults", str(faults)]
+        if command == "overload" and expected == 3:
+            sized = _LOSSY_OVERLOAD
         rc = main(
             _CAMPAIGNS[command]
-            + ["--n", "16", "--frames", "8", "--faults", str(faults),
-               "--summary-out", str(summary_path),
+            + sized
+            + ["--summary-out", str(summary_path),
                "--metrics-out", str(metrics_path)]
         )
         assert rc == expected
@@ -188,7 +196,7 @@ class TestCampaignExitContract:
             assert not metrics_path.exists()
         else:
             summary = json.loads(summary_path.read_text())
-            assert summary["n"] == 16
+            assert summary["n"] == int(sized[1])
             assert json.loads(metrics_path.read_text())["metrics"]
 
     @pytest.mark.parametrize(

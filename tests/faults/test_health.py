@@ -189,9 +189,10 @@ class TestQueueingUnderFaults:
         arrivals = poisson_arrivals(n, rate=1.5, slots=30, seed=3)
         report = sim.run(arrivals)
         assert report.served + report.abandoned == len(arrivals)
-        # The dead delivery cell guarantees some losses and requeues.
-        assert report.requeued > 0
-        assert report.abandoned > 0
+        # The dead delivery cell degrades the primary until the fabric
+        # quarantines it and serves from the standby.
+        assert sim.fabric.stats.quarantines > 0
+        assert sim.fabric.stats.standby_frames > 0
 
     def test_zero_requeues_abandons_immediately(self):
         n = 16
@@ -201,6 +202,8 @@ class TestQueueingUnderFaults:
         arrivals = poisson_arrivals(n, rate=1.0, slots=20, seed=5)
         report = sim.run(arrivals)
         assert report.requeued == 0
+        # Frames lose terminals before the health tracker trips.
+        assert report.abandoned > 0
         assert report.served + report.abandoned == len(arrivals)
 
     def test_healthy_config_ignores_fault_kwargs(self):
