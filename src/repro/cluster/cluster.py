@@ -147,7 +147,10 @@ class FabricCluster:
         self.config = config
         self.n = config.network.n
         self.observer = config.network.observer
-        self.router = ClusterRouter(config.placement_seed)
+        self.router = ClusterRouter(
+            config.placement_seed,
+            capacity=config.replicas * config.network.plan_cache_size,
+        )
         self.replicas: List[FabricReplica] = [
             FabricReplica(
                 i,

@@ -30,23 +30,41 @@ traffic during a single-replica rolling restart would lose frames).
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from collections import OrderedDict
+from operator import attrgetter
+from typing import List, Sequence, Tuple
 
 from .replica import FabricReplica, ReplicaState
 
 __all__ = ["ClusterRouter"]
 
+_index = attrgetter("index")
+
 
 class ClusterRouter:
     """Deterministic rendezvous placement with health-aware ordering.
 
+    The rendezvous rank of a fingerprint depends only on the seed, the
+    replica indices and the fingerprint — a replica keeps its index
+    across kills and restarts — so it is computed once per fingerprint
+    and memoised in an LRU of at most ``capacity`` entries.  Each frame
+    then only filters the memoised rank by replica state and moves
+    impaired replicas to the back, both read live.  Nothing needs
+    invalidating.
+
     Args:
         seed: mixed into every placement weight; two routers with the
             same seed produce identical placements.
+        capacity: most fingerprints whose rank is memoised.  A cluster
+            sizes it ``replicas × plan_cache_size``: a fingerprint
+            beyond that is cached on no replica and compiles anyway.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, capacity: int = 1024):
         self.seed = seed
+        self.capacity = capacity
+        # fingerprint -> (replica indices, positions ranked best first)
+        self._ranks: "OrderedDict[str, Tuple[tuple, tuple]]" = OrderedDict()
 
     def weight(self, fingerprint: str, replica_index: int) -> str:
         """The rendezvous weight of one (assignment, replica) pair.
@@ -58,6 +76,17 @@ class ClusterRouter:
         key = f"{self.seed}:{replica_index}:{fingerprint}"
         return hashlib.sha256(key.encode("ascii")).hexdigest()
 
+    def _rank(self, fingerprint: str, indices: Sequence[int]) -> tuple:
+        """Positions into ``indices``, best first: descending
+        ``(weight, index)``, the full rendezvous order."""
+        return tuple(
+            sorted(
+                range(len(indices)),
+                key=lambda p: (self.weight(fingerprint, indices[p]), indices[p]),
+                reverse=True,
+            )
+        )
+
     def order(
         self, fingerprint: str, replicas: Sequence[FabricReplica]
     ) -> List[FabricReplica]:
@@ -68,19 +97,22 @@ class ClusterRouter:
         fully-draining cluster still serves.  DOWN replicas are never
         returned.  Empty means the cluster has no alive replica.
         """
-
-        def ranked(pool: List[FabricReplica]) -> List[FabricReplica]:
-            healthy = [r for r in pool if not r.impaired]
-            impaired = [r for r in pool if r.impaired]
-            key = lambda r: (self.weight(fingerprint, r.index), r.index)
-            return sorted(healthy, key=key, reverse=True) + sorted(
-                impaired, key=key, reverse=True
-            )
-
-        up = [r for r in replicas if r.state is ReplicaState.UP]
-        if up:
-            return ranked(up)
-        draining = [
-            r for r in replicas if r.state is ReplicaState.DRAINING
+        indices = tuple(map(_index, replicas))
+        ranks = self._ranks
+        memo = ranks.get(fingerprint)
+        if memo is not None and memo[0] == indices:
+            ranks.move_to_end(fingerprint)
+        else:
+            memo = indices, self._rank(fingerprint, indices)
+            ranks.pop(fingerprint, None)
+            ranks[fingerprint] = memo
+            if len(ranks) > self.capacity:
+                ranks.popitem(last=False)
+        ranked = [replicas[p] for p in memo[1]]
+        pool = [r for r in ranked if r.state is ReplicaState.UP] or [
+            r for r in ranked if r.state is ReplicaState.DRAINING
         ]
-        return ranked(draining)
+        healthy, impaired = [], []
+        for r in pool:
+            (impaired if r.impaired else healthy).append(r)
+        return healthy + impaired

@@ -210,6 +210,34 @@ class _LazyOutputs:
         result.__dict__["_outputs"] = outputs
 
 
+class _GatheredPayloads:
+    """``RoutingResult.payloads``: stored as given, or gathered on first
+    read.
+
+    A list passed in (or assigned later) is kept as is.  A result
+    constructed with ``payloads=None`` and ``input_payloads`` gathers
+    ``input_payloads[delivery_src[o]]`` per output ``o`` (``None`` where
+    ``delivery_src`` is -1: idle outputs and fault casualties) the
+    first time ``payloads`` is read, then keeps that list.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None
+        payloads = result.__dict__["_payloads"]
+        if payloads is None and result.input_payloads is not None:
+            inputs = result.input_payloads
+            payloads = [
+                None if s < 0 else inputs[s]
+                for s in result.delivery_src.tolist()
+            ]
+            result.__dict__["_payloads"] = payloads
+        return payloads
+
+    def __set__(self, result, payloads) -> None:
+        result.__dict__["_payloads"] = payloads
+
+
 class _PlanBsnStats:
     """``bsn_stats`` of a result: stored as given, else read through the
     result's compiled ``plan`` (which builds its stats tuple only on
@@ -269,13 +297,14 @@ class _PerFrameTotals:
 class RoutingResult(_PerFrameTotals):
     """Outcome of routing one multicast assignment.
 
-    A fast-engine result is array-backed: ``delivery_src`` and
-    ``payloads`` are what the compiled plan produced, and ``outputs``
-    is built from them the first time it is read (then kept).  A
-    caller that only needs who delivered where reads ``delivery_src``
-    and never pays for ``n`` :class:`~repro.core.message.Message`
-    objects; many payload frames of one assignment go through
-    :meth:`BRSMN.route_batch`.
+    A fast-engine result is array-backed: ``delivery_src`` is what the
+    compiled plan produced and ``input_payloads`` what the caller
+    routed.  ``payloads`` is gathered from them the first time it is
+    read, and ``outputs`` is built from both the first time it is read
+    (each then kept).  A caller that only needs who delivered where
+    reads ``delivery_src`` and never pays for ``n`` payload slots or
+    :class:`~repro.core.message.Message` objects; many payload frames
+    of one assignment go through :meth:`BRSMN.route_batch`.
 
     Attributes:
         assignment: the assignment that was routed.
@@ -312,9 +341,13 @@ class RoutingResult(_PerFrameTotals):
             baselines.
         payloads: fast engine only — ``payloads[o]`` is the payload
             delivered to output ``o`` (``None`` where nothing was).
+            Gathered from ``input_payloads`` on first read.
         plan: fast engine only — the
             :class:`~repro.core.fastplan.FramePlan` that routed the
             frame.
+        input_payloads: fast engine only — the per-input payloads that
+            were routed (the caller's sequence, or the network's
+            default ``"pkt<i>"`` tuple), kept by reference.
     """
 
     assignment: MulticastAssignment
@@ -330,6 +363,9 @@ class RoutingResult(_PerFrameTotals):
     delivery_src: Optional[np.ndarray] = field(default=None, compare=False)
     payloads: Optional[Sequence] = field(default=None, repr=False, compare=False)
     plan: Optional[object] = field(default=None, repr=False, compare=False)
+    input_payloads: Optional[Sequence] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def outputs_materialised(self) -> bool:
@@ -350,6 +386,11 @@ class RoutingResult(_PerFrameTotals):
     def delivered(self) -> Dict[int, Message]:
         """Map of used output -> delivered message."""
         return {o: m for o, m in enumerate(self.outputs) if m is not None}
+
+
+# ``payloads`` keeps its field options above (default None, no repr, no
+# compare); reads and writes go through the descriptor.
+RoutingResult.payloads = _GatheredPayloads()
 
 
 @dataclass
@@ -699,6 +740,10 @@ class BRSMN:
         plan, hit = self._plan(assignment, observer, frame_id)
         if payloads is None:
             payloads = self._default_payloads
+        elif len(payloads) != self.n:
+            raise InvalidAssignmentError(
+                f"expected {self.n} payloads, got {len(payloads)}"
+            )
         attempt = self._injector.attempt if self._injector is not None else 0
         return RoutingResult(
             assignment=assignment,
@@ -709,8 +754,8 @@ class BRSMN:
             plan_cache_hit=hit,
             fault_casualties=self._plan_hits(plan, attempt),
             delivery_src=self._delivery_src(plan, attempt),
-            payloads=plan.apply(payloads, attempt),
             plan=plan,
+            input_payloads=payloads,  # gathered into payloads on first read
         )
 
     @cached_property

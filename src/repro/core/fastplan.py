@@ -182,10 +182,21 @@ class FramePlan:
             at construction).
         switch_ops: 2x2 switch applications per frame, final delivery
             level included (summed once, at construction).
+        proven: the source vector (``assignment.source_vector()``) of
+            the assignment this plan was compiled from, recorded only
+            when :func:`compile_frame_plans` compiled it without a
+            fault plan and found ``delivery_src`` equal to it — the
+            plan's proof of the nonblocking claim, made once at
+            compile time.  ``None`` otherwise (faulted and hand-built
+            plans).
 
     ``delivery_src`` is made read-only at construction: routing results
     share it instead of copying it per frame.  :attr:`bsn_stats` is
     built from ``bsn_counts`` on first read.
+    :func:`~repro.core.verification.verify_result` accepts a result
+    routed by a proven plan in O(1) when the result still holds the
+    plan's own ``delivery_src`` and the very vector object that was
+    proven; every other result is re-checked against its assignment.
     """
 
     n: int
@@ -195,6 +206,7 @@ class FramePlan:
     lost_outputs: Tuple[int, ...] = ()
     flaky_exposure: Tuple[Tuple[object, Tuple[int, ...], Tuple[int, ...]], ...] = ()
     fault_hits: Tuple[Tuple[object, Tuple[int, ...]], ...] = ()
+    proven: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     total_splits: int = field(init=False, repr=False, compare=False)
     switch_ops: int = field(init=False, repr=False, compare=False)
 
@@ -400,7 +412,10 @@ def compile_frame_plans(
         frame_id: frame id to tag emitted spans with.
 
     Returns:
-        One :class:`FramePlan` per assignment, in order.
+        One :class:`FramePlan` per assignment, in order.  A plan
+        compiled without faults is compared with its assignment's
+        source vector here, once, and carries it as ``proven`` when
+        they are equal.
 
     Raises:
         InvalidAssignmentError: if the assignments differ in size.
@@ -526,12 +541,19 @@ def compile_frame_plans(
         lost_outputs: Tuple[int, ...] = ()
         flaky_exposure: Tuple = ()
         fault_hits: Tuple = ()
+        proven = None
         if inject:
             state = fault_states[b]
             delivery_src = _fold_delivery_faults(faults, delivery_src, state)
             lost_outputs = tuple(np.nonzero(state["lost"])[0].tolist())
             flaky_exposure = tuple(state["exposure"])
             fault_hits = tuple(state["hits"])
+        else:
+            # Prove the nonblocking claim once, here: a fault-free plan
+            # delivers exactly its assignment's source vector.
+            expected = assignments[b].source_vector()
+            if np.array_equal(delivery_src, expected):
+                proven = expected
         plans.append(
             FramePlan(
                 n=n,
@@ -541,6 +563,7 @@ def compile_frame_plans(
                 lost_outputs=lost_outputs,
                 flaky_exposure=flaky_exposure,
                 fault_hits=fault_hits,
+                proven=proven,
             )
         )
     return plans
@@ -657,16 +680,16 @@ class PlanCache:
     structurally identical assignments share one compiled plan no
     matter how they were constructed.
 
-    The cache is thread-safe, so networks driven from different
-    threads may share one: the hit/miss counters and the LRU map are
-    only touched under one internal mutex, and
-    ``fastplan.plan_cache`` event emission happens *outside* the
-    critical section — the event payloads (sizes included) are
-    snapshotted under the lock, then delivered in that deterministic
-    order, so a slow observer can never stall (or deadlock with)
-    another routing thread.  Compilation also runs outside the lock;
-    concurrent misses on the same key may therefore compile twice
-    (first insert wins, both callers get the same retained plan).
+    A cache belongs to one network, and one thread at a time drives
+    it — the same contract as the fabric, cluster or simulator that
+    owns the network, whose counters are unguarded too.  The internal
+    mutex does not make the cache safe to share across threads; it
+    predates that contract.
+
+    Each entry also keeps its assignment's read-only source vector
+    (a canonical form of the assignment, ``n`` int64s) so that
+    :meth:`snapshot_assignments` can rebuild the assignment for a
+    warm-restart snapshot: fingerprints are one-way hashes.
 
     Attributes:
         maxsize: maximum retained plans (least-recently-used eviction).
@@ -682,11 +705,9 @@ class PlanCache:
     misses: int = 0
     observer: Optional[object] = None
     _plans: "OrderedDict[str, FramePlan]" = field(default_factory=OrderedDict)
-    # Each entry's source assignment, retained for warm-restart
-    # snapshots: fingerprints are one-way hashes, so without the
-    # assignment a snapshot could name cached plans but never rebuild
-    # them (see repro.resilience.snapshot).
-    _assignments: Dict[str, MulticastAssignment] = field(default_factory=dict)
+    # Each entry's source vector, for warm-restart snapshots (see
+    # repro.resilience.snapshot).
+    _vectors: Dict[str, np.ndarray] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -752,10 +773,10 @@ class PlanCache:
                 self._plans.move_to_end(key)
             else:
                 self._plans[key] = plan
-                self._assignments[key] = assignment
+                self._vectors[key] = assignment.source_vector()
                 while len(self._plans) > self.maxsize:
                     old, _ = self._plans.popitem(last=False)
-                    self._assignments.pop(old, None)
+                    self._vectors.pop(old, None)
                     evicted.append((old, len(self._plans)))
         for old, size in evicted:
             emit(self.observer, "fastplan.plan_cache", "evict", key=old,
@@ -765,19 +786,18 @@ class PlanCache:
     def snapshot_assignments(self) -> List[MulticastAssignment]:
         """The cached entries' source assignments, LRU order (oldest
         first) — the payload of a warm-restart snapshot
-        (:class:`~repro.resilience.snapshot.FabricSnapshot`)."""
+        (:class:`~repro.resilience.snapshot.FabricSnapshot`).  Each is
+        rebuilt from the entry's source vector, so it equals the
+        assignment that was cached."""
         with self._lock:
-            return [
-                self._assignments[key]
-                for key in self._plans
-                if key in self._assignments
-            ]
+            vectors = [self._vectors[key] for key in self._plans]
+        return [MulticastAssignment.from_source_vector(v) for v in vectors]
 
     def clear(self) -> None:
         """Drop every cached plan and reset the counters."""
         with self._lock:
             self._plans.clear()
-            self._assignments.clear()
+            self._vectors.clear()
             self.hits = 0
             self.misses = 0
         emit(self.observer, "fastplan.plan_cache", "clear", key="", size=0)

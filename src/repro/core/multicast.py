@@ -30,6 +30,10 @@ __all__ = ["MulticastAssignment", "paper_example_assignment"]
 
 DestinationsLike = Union[Iterable[int], None]
 
+# The destination set of every idle input: most inputs of a sparse
+# assignment are idle, and an empty frozenset costs 216 bytes each.
+_NO_DESTINATIONS: FrozenSet[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class MulticastAssignment:
@@ -44,7 +48,8 @@ class MulticastAssignment:
     :meth:`fanout_counts`, the
     :func:`~repro.core.serialization.assignment_fingerprint` digest) are
     memoised on the instance outside the dataclass fields: equality,
-    hashing and pickling see only ``n`` and ``destinations``.
+    hashing and pickling see only ``n`` and ``destinations``.  Every
+    idle input shares one empty frozenset.
     """
 
     n: int
@@ -59,7 +64,7 @@ class MulticastAssignment:
         sets: List[FrozenSet[int]] = []
         seen: set = set()
         for i, dests in enumerate(destinations):
-            ds = frozenset(dests) if dests is not None else frozenset()
+            ds = frozenset(dests) if dests is not None else _NO_DESTINATIONS
             for d in ds:
                 if not isinstance(d, int) or not 0 <= d < n:
                     raise InvalidAssignmentError(
@@ -70,7 +75,7 @@ class MulticastAssignment:
                         f"output {d} appears in more than one destination set"
                     )
                 seen.add(d)
-            sets.append(ds)
+            sets.append(ds or _NO_DESTINATIONS)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "destinations", tuple(sets))
 
@@ -100,6 +105,24 @@ class MulticastAssignment:
             n,
             [None if p is None else (p,) for p in perm],
         )
+
+    @classmethod
+    def from_source_vector(cls, vec: Sequence[int]) -> "MulticastAssignment":
+        """Build the assignment whose :meth:`source_vector` is ``vec``.
+
+        ``vec[o]`` is the input feeding output ``o``, or -1 for an
+        unused output.
+        """
+        n = len(vec)
+        dests: List[List[int]] = [[] for _ in range(n)]
+        for o, i in enumerate(np.asarray(vec).tolist()):
+            if i >= 0:
+                if i >= n:
+                    raise InvalidAssignmentError(
+                        f"output {o}: input {i} out of range [0, {n})"
+                    )
+                dests[i].append(o)
+        return cls(n, dests)
 
     @classmethod
     def broadcast(cls, n: int, source: int = 0) -> "MulticastAssignment":
@@ -140,8 +163,13 @@ class MulticastAssignment:
 
     @property
     def total_fanout(self) -> int:
-        """Sum of destination-set sizes (= number of deliveries)."""
-        return sum(f * c for f, c in self.fanout_counts().items())
+        """Sum of destination-set sizes (= number of deliveries;
+        memoised)."""
+        total = self.__dict__.get("_total_fanout")
+        if total is None:
+            total = sum(f * c for f, c in self.fanout_counts().items())
+            self.__dict__["_total_fanout"] = total
+        return total
 
     @property
     def max_fanout(self) -> int:

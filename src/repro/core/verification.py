@@ -108,15 +108,36 @@ def verify_edge_disjoint(trace: Trace) -> VerificationReport:
 def verify_result(result: RoutingResult) -> VerificationReport:
     """Verify a :class:`~repro.core.brsmn.RoutingResult` end to end.
 
-    A result whose ``outputs`` list was never built (a fast-engine
-    result nobody has read) is checked with one array comparison: by
-    the nonblocking theorem a correct pass delivers exactly
-    ``assignment.source_vector()``.  On a mismatch, or once ``outputs``
-    exists (a caller may have edited it), :func:`verify_delivery` walks
-    every output and names each violation.  When a trace is present,
-    :func:`verify_edge_disjoint` is added.
+    The proof is made once, when the plan is compiled:
+    :func:`~repro.core.fastplan.compile_frame_plans` compares a
+    fault-free plan's ``delivery_src`` with its assignment's source
+    vector and records that vector on the plan as ``proven``.  A result
+    is then accepted in O(1) when all of these hold: it still carries
+    the plan's own (read-only) ``delivery_src``; the plan's ``proven``
+    vector *is* ``result.assignment.source_vector()`` (the very
+    assignment object that was compiled); it has no trace; and its
+    ``outputs`` list was never built.
+
+    Every other result takes the per-frame check.  If ``outputs`` was
+    never built (a fast-engine result nobody has read — an equal but
+    distinct assignment, a fault casualty copy, a faulted plan), it is
+    one array comparison: by the nonblocking theorem a correct pass
+    delivers exactly ``assignment.source_vector()``.  On a mismatch, or
+    once ``outputs`` exists (a caller may have edited it),
+    :func:`verify_delivery` walks every output and names each
+    violation.  When a trace is present, :func:`verify_edge_disjoint`
+    is added.
     """
     src = result.delivery_src
+    proven = getattr(result.plan, "proven", None)
+    if (
+        proven is not None
+        and src is result.plan.delivery_src
+        and proven is result.assignment.source_vector()
+        and result.trace is None
+        and not result.outputs_materialised
+    ):
+        return VerificationReport(True, [], result.assignment.total_fanout)
     if (
         src is not None
         and not result.outputs_materialised

@@ -9,8 +9,9 @@ both survive the restart as one JSON document:
 * **plan cache** — the *assignments* behind every cached
   :class:`~repro.core.fastplan.FramePlan`, in LRU order.  Fingerprints
   alone would not do (they are one-way hashes), so the caches retain
-  each entry's assignment; restore re-compiles them all in one batched
-  call through the new network's own compiler
+  each entry's source vector, a canonical form of its assignment, and
+  rebuild the assignments from it; restore re-compiles them all in one
+  batched call through the new network's own compiler
   (:meth:`~repro.core.brsmn.BRSMN.warm_plans`), which keeps the
   restored plans honest about the new network's fault plan (same
   assignment, possibly different plan).

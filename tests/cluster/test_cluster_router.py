@@ -1,5 +1,6 @@
 """ClusterRouter: rendezvous affinity, determinism, health ordering."""
 
+import itertools
 import random
 
 import pytest
@@ -145,5 +146,90 @@ class TestAffinity:
                 c.submit(pool[i % len(pool)])
             assert c.stats.plan_cache_misses == len(pool)
             assert c.stats.plan_cache_hits == 60 - len(pool)
+        finally:
+            c.close()
+
+
+def _rendezvous_order(router, fingerprint, replicas):
+    """The unmemoised placement order: rank by ``(weight, index)`` on
+    every call, UP replicas first (DRAINING when none is UP),
+    unimpaired before impaired."""
+
+    def ranked(pool):
+        key = lambda r: (router.weight(fingerprint, r.index), r.index)
+        healthy = sorted((r for r in pool if not r.impaired), key=key, reverse=True)
+        impaired = sorted((r for r in pool if r.impaired), key=key, reverse=True)
+        return healthy + impaired
+
+    up = [r for r in replicas if r.state is ReplicaState.UP]
+    if up:
+        return ranked(up)
+    return ranked([r for r in replicas if r.state is ReplicaState.DRAINING])
+
+
+class _Stub:
+    """The three replica attributes the router reads."""
+
+    def __init__(self, index):
+        self.index = index
+        self.state = ReplicaState.UP
+        self.impaired = False
+
+
+class TestRankMemo:
+    def test_memo_equals_rendezvous_under_every_state_mix(self):
+        router = ClusterRouter(seed=5, capacity=8)
+        replicas = [_Stub(i) for i in range(3)]
+        fps = fingerprints(count=12, seed=3)
+        per_replica = list(itertools.product(ReplicaState, (False, True)))
+        for mix in itertools.product(per_replica, repeat=len(replicas)):
+            for r, (state, impaired) in zip(replicas, mix):
+                r.state, r.impaired = state, impaired
+            for fp in fps:
+                got = router.order(fp, replicas)
+                assert got == _rendezvous_order(router, fp, replicas)
+        assert len(router._ranks) == 8
+
+    def test_memo_follows_a_kill_and_a_restart(self):
+        c = cluster_of(3, seed=2)
+        try:
+            fps = fingerprints(count=20, seed=4)
+
+            def check():
+                for fp in fps:
+                    assert c.router.order(fp, c.replicas) == _rendezvous_order(
+                        c.router, fp, c.replicas
+                    )
+
+            check()
+            c.kill_replica(1)
+            check()
+            c.replicas[0].drain()
+            check()
+            c.replicas[1].restart()
+            check()
+            c.replicas[0].restart()
+            check()
+        finally:
+            c.close()
+
+    def test_memo_is_rebuilt_for_another_replica_set(self):
+        router = ClusterRouter(seed=1)
+        fp = fingerprints(count=1)[0]
+        three, two = [_Stub(i) for i in range(3)], [_Stub(2), _Stub(0)]
+        for replicas in (three, two, three):
+            assert router.order(fp, replicas) == _rendezvous_order(
+                router, fp, replicas
+            )
+
+    def test_memo_stays_within_its_bound_under_cold_traffic(self):
+        c = cluster_of(2, plan_cache_size=4)
+        try:
+            assert c.router.capacity == 2 * 4
+            rng = random.Random(7)
+            for _ in range(40):
+                c.submit(make_random_assignment(16, rng))
+                assert len(c.router._ranks) <= c.router.capacity
+            assert len(c.router._ranks) == c.router.capacity
         finally:
             c.close()

@@ -228,3 +228,6 @@ def test_plan_payload_length_validated():
     plan = compile_frame_plan(paper_example_assignment())
     with pytest.raises(InvalidAssignmentError):
         plan.apply(["x"] * 4)
+    net = BRSMN(NetworkConfig(8, engine="fast"))
+    with pytest.raises(InvalidAssignmentError, match="expected 8 payloads"):
+        net.route(paper_example_assignment(), payloads=["x"] * 4)
