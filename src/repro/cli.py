@@ -10,10 +10,13 @@ Usage (after ``pip install -e .``)::
     python -m repro chaos --n 64 --overload --arrival-rate 2.0 --deadline-ms 50
     python -m repro chaos --n 64 --overload --adaptive --seed 7 \\
         --control-log decisions.json --summary-out summary.json
+    python -m repro cluster --n 64 --replicas 3 --frames 128 \\
+        --kill-replica 1@40 --rolling-restart --summary-out summary.json
     python -m repro tags --n 8 --dests 3,4,7
     python -m repro structure --n 64
     python -m repro table2 --sizes 8,64,512
     python -m repro schedule --n 32
+    python -m repro report
 
 Subcommands:
 
@@ -37,20 +40,32 @@ Subcommands:
   (AIMD admission rate and priority reserve); its
   decision log replays bit-identically for a given seed and can be
   exported with ``--control-log``.
+* ``cluster`` — run a seeded multi-replica campaign through a
+  :class:`~repro.cluster.FabricCluster`: plan-affinity placement over
+  ``--distinct`` recurring assignments, scheduled replica kills
+  (``--kill-replica I@FRAME``), a rolling restart and per-replica
+  admission gates; its ``--summary-out`` replays byte-identically.
 * ``tags`` — print a destination set's tag tree SEQ (Section 7.1).
 * ``structure`` — print a network's structural audit (switches, depth,
   per-level composition).
 * ``table2`` — print the paper's Table 2 with measured values.
 * ``schedule`` — print the feedback network's frame timing schedule.
+* ``report`` — recompute every paper claim and print the PASS/FAIL
+  reproduction report.
 
 The CLI is intentionally thin: each subcommand calls the same public
 API the library exposes, so it doubles as executable documentation.
+The campaign commands (``stats``, ``chaos``, ``chaos --overload``,
+``cluster``) share their flags (``--n``, ``--frames``, ``--seed``,
+``--engine``, ``--metrics-out``; ``--faults`` and ``--summary-out``
+on ``chaos`` and ``cluster``) and one build → run → report path.
 
 Exit codes (the contract scripts and CI rely on):
 
 * ``0`` — success: routing verified, campaign fully served.
 * ``1`` — verification or reproduction failure (``route``, ``report``).
-* ``2`` — usage or I/O error (bad arguments, unreadable input,
+* ``2`` — usage or I/O error (bad arguments, such as a ``--n`` that
+  is not a power of two or a negative ``--frames``; unreadable input;
   unwritable output path).
 * ``3`` — degraded ``chaos`` or ``cluster`` campaign: terminals were
   lost (or requests abandoned under ``--overload``) after the retry
@@ -70,25 +85,35 @@ from typing import List, Optional
 
 from .analysis.tables import format_table
 from .baselines.models import PAPER_TABLE2
+from .cluster import ClusterConfig, FabricCluster
+from .control import ControlPolicy
+from .core.arrivals import QueueingSimulator, poisson_arrivals
 from .core.config import NetworkConfig
+from .core.fabric import MulticastFabric
 from .core.multicast import MulticastAssignment, paper_example_assignment
 from .core.routing import build_network, route_multicast
 from .core.tagtree import TagTree
 from .core.tags import format_tag_string
+from .errors import NetworkSizeError
+from .faults import FaultKind, FaultPlan, RetryPolicy
 from .hardware.cost import CostModel
 from .hardware.schedule import build_frame_schedule
 from .hardware.timing import TimingModel
+from .obs import CompositeObserver, MetricsObserver, TracingObserver
+from .resilience import AdmissionPolicy
 from .viz.ascii import render_assignment, render_delivery, render_trace
+from .workloads.hotspot import hotspot_session
+from .workloads.random_assignments import assignment_suite, random_multicast
 
 __all__ = ["main", "build_parser"]
 
 
-def _write_text(path: str, text: str) -> Optional[str]:
+def _write_text(path: str, text: str) -> bool:
     """Write an output file, creating parent directories as needed.
 
-    Returns ``None`` on success, or a clean one-line error message
-    (instead of letting ``open`` raise a traceback at the user) when
-    the path cannot be written.
+    Returns ``True`` on success.  When the path cannot be written it
+    prints a clean one-line error to stderr (instead of letting
+    ``open`` raise a traceback at the user) and returns ``False``.
     """
     try:
         parent = os.path.dirname(path)
@@ -97,8 +122,49 @@ def _write_text(path: str, text: str) -> Optional[str]:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        return f"cannot write {path}: {exc}"
-    return None
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _campaign_parent(faults: Optional[int] = None) -> argparse.ArgumentParser:
+    """The flags the campaign commands share, declared once.
+
+    A command that injects faults passes its ``--faults`` default and
+    also gets ``--summary-out``.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help="network size (per replica for cluster)",
+    )
+    p.add_argument("--frames", type=int, default=64, help="frames to route")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--engine", choices=("reference", "fast"), default="fast")
+    p.add_argument(
+        "--metrics-out",
+        type=str,
+        default=None,
+        help="write the metrics registry as JSON to this file",
+    )
+    if faults is not None:
+        p.add_argument(
+            "--faults",
+            type=int,
+            default=faults,
+            help="faulty cells per plane (seeded; see "
+            "repro.faults.FaultPlan)",
+        )
+        p.add_argument(
+            "--summary-out",
+            type=str,
+            default=None,
+            help="write the campaign summary (outcome counts, no wall-clock "
+            "fields) as JSON to this file",
+        )
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,11 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats",
+        parents=[_campaign_parent()],
         help="run an observed workload session and export metrics",
-    )
-    p_stats.add_argument("--n", type=int, required=True, help="network size")
-    p_stats.add_argument(
-        "--frames", type=int, default=64, help="frames to route"
     )
     p_stats.add_argument(
         "--workload",
@@ -168,17 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="frame generator (hotspot repeats assignments -> cache hits)",
     )
     p_stats.add_argument(
-        "--engine", choices=("reference", "fast"), default="fast"
-    )
-    p_stats.add_argument(
         "--mode", choices=("selfrouting", "oracle"), default="selfrouting"
-    )
-    p_stats.add_argument("--seed", type=int, default=0)
-    p_stats.add_argument(
-        "--metrics-out",
-        type=str,
-        default=None,
-        help="write the metrics registry as JSON to this file",
     )
     p_stats.add_argument(
         "--prom-out",
@@ -194,33 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
+        parents=[_campaign_parent(faults=2)],
         help="run a seeded fault-injection campaign with self-healing",
-    )
-    p_chaos.add_argument("--n", type=int, required=True, help="network size")
-    p_chaos.add_argument(
-        "--frames", type=int, default=64, help="frames to route"
-    )
-    p_chaos.add_argument(
-        "--faults",
-        type=int,
-        default=2,
-        help="faulty cells to place (seeded; see repro.faults.FaultPlan)",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--engine", choices=("reference", "fast"), default="fast"
     )
     p_chaos.add_argument(
         "--retries",
         type=int,
         default=3,
         help="healing retry budget per frame",
-    )
-    p_chaos.add_argument(
-        "--metrics-out",
-        type=str,
-        default=None,
-        help="write the metrics registry as JSON to this file",
     )
     p_chaos.add_argument(
         "--overload",
@@ -285,30 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="overload: write the control plane's decision log as JSON "
         "to this file (requires --adaptive)",
     )
-    p_chaos.add_argument(
-        "--summary-out",
-        type=str,
-        default=None,
-        help="write the campaign summary (terminal outcomes; under "
-        "--overload goodput, per-priority sheds, losses) as JSON to "
-        "this file",
-    )
 
     p_cluster = sub.add_parser(
         "cluster",
+        parents=[_campaign_parent(faults=0)],
         help="run a seeded multi-replica cluster campaign "
         "(plan-affinity routing, kills, rolling restarts)",
     )
     p_cluster.add_argument(
-        "--n", type=int, required=True, help="network size (per replica)"
-    )
-    p_cluster.add_argument(
         "--replicas", type=int, default=2, help="fabric replicas"
     )
-    p_cluster.add_argument(
-        "--frames", type=int, default=64, help="frames to route"
-    )
-    p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument(
         "--placement-seed",
         type=int,
@@ -316,21 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="rendezvous placement seed (default: --seed)",
     )
     p_cluster.add_argument(
-        "--engine", choices=("reference", "fast"), default="fast"
-    )
-    p_cluster.add_argument(
         "--distinct",
         type=int,
         default=8,
         help="distinct assignments cycled through the campaign (plan "
         "affinity keeps each one's compiled plan on its home replica)",
-    )
-    p_cluster.add_argument(
-        "--faults",
-        type=int,
-        default=0,
-        help="faulty cells per replica plane (seeded; deterministic "
-        "kinds only, so replay and replica count cannot change results)",
     )
     p_cluster.add_argument(
         "--kill-replica",
@@ -365,19 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=4.0,
         help="per-replica admission token bucket capacity",
-    )
-    p_cluster.add_argument(
-        "--metrics-out",
-        type=str,
-        default=None,
-        help="write the metrics registry as JSON to this file",
-    )
-    p_cluster.add_argument(
-        "--summary-out",
-        type=str,
-        default=None,
-        help="write the replay-deterministic campaign summary as JSON "
-        "to this file (two identically-seeded runs are byte-identical)",
     )
 
     p_tags = sub.add_parser("tags", help="print a multicast's SEQ tag string")
@@ -455,9 +452,7 @@ def _cmd_route(args) -> int:
     if args.save is not None:
         from .core.serialization import result_to_json
 
-        err = _write_text(args.save, result_to_json(result) + "\n")
-        if err is not None:
-            print(err, file=sys.stderr)
+        if not _write_text(args.save, result_to_json(result) + "\n"):
             return 2
         print(f"result written to {args.save}")
     print(render_assignment(assignment))
@@ -480,42 +475,106 @@ def _cmd_route(args) -> int:
     return 1
 
 
-def _stats_frames(args):
-    """Generate the frame sequence for ``repro stats``."""
-    if args.workload == "hotspot":
-        from .workloads.hotspot import hotspot_session
+def _run_campaign(
+    args, name, open_session, make_work, report, kinds=None, traced=False
+) -> int:
+    """Build → run → report: the one path of every campaign command.
 
+    The build step makes the metrics observer (with a tracing observer
+    beside it when ``traced``), the seeded fault plan (for commands
+    with ``--faults``; ``kinds`` limits its fault kinds) and the
+    config.  ``open_session(args, cfg)`` opens the command's session
+    and ``make_work(args, session)`` returns what the session runs.
+    Any ``ValueError`` or ``TypeError`` raised while building is a bad
+    parameter: one ``bad <name> campaign parameters`` line on stderr
+    and exit 2, before anything ran.  Then ``session.run(work)`` drives
+    the campaign, and ``report(args, session, work, result)`` prints
+    the outcome lines and returns ``(summary, failed)`` before the
+    session closes; :func:`_finish_campaign` ends it.
+    """
+    metrics = MetricsObserver()
+    session = None
+    try:
+        if args.frames < 0:
+            raise ValueError(f"frames must be >= 0, got {args.frames}")
+        plan = None
+        if hasattr(args, "faults"):
+            plan = FaultPlan.random(
+                args.n, faults=args.faults, seed=args.seed, kinds=kinds
+            )
+        cfg = NetworkConfig(
+            args.n,
+            engine=args.engine,
+            fault_plan=plan,
+            observer=(
+                CompositeObserver(metrics, TracingObserver())
+                if traced
+                else metrics
+            ),
+        )
+        session = open_session(args, cfg)
+        work = make_work(args, session)
+    except (TypeError, ValueError) as exc:
+        if session is not None:
+            session.close()
+        print(f"bad {name} campaign parameters: {exc}", file=sys.stderr)
+        return 2
+    try:
+        summary, failed = report(args, session, work, session.run(work))
+    finally:
+        session.close()
+    return _finish_campaign(args, session, metrics, summary, failed)
+
+
+def _finish_campaign(args, session, metrics, summary, failed) -> int:
+    """The shared ending of every campaign command.
+
+    Writes each requested output file (``--control-log``,
+    ``--summary-out``, ``--metrics-out``, ``--prom-out``) and exits 2
+    on the first that cannot be written; otherwise exits 3 when
+    ``failed`` (frames lost or accounting incomplete) and 0 when not.
+    """
+    control_log = getattr(args, "control_log", None)
+    if control_log is not None:
+        try:
+            session.control.export_decision_log(control_log)
+        except OSError as exc:
+            print(f"cannot write {control_log}: {exc}", file=sys.stderr)
+            return 2
+        print(f"control decision log written to {control_log}")
+    summary_out = getattr(args, "summary_out", None)
+    if summary_out is not None:
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        if not _write_text(summary_out, text):
+            return 2
+        print(f"campaign summary written to {summary_out}")
+    if args.metrics_out is not None:
+        text = metrics.registry.to_json() + "\n"
+        if not _write_text(args.metrics_out, text):
+            return 2
+        print(f"\nmetrics JSON written to {args.metrics_out}")
+    prom_out = getattr(args, "prom_out", None)
+    if prom_out is not None:
+        if not _write_text(prom_out, metrics.registry.to_prometheus_text()):
+            return 2
+        print(f"Prometheus text written to {prom_out}")
+    return 3 if failed else 0
+
+
+def _stats_frames(args, _fabric):
+    """The ``stats`` work list: ``--frames`` frames of ``--workload``."""
+    if args.workload == "hotspot":
         return hotspot_session(args.n, frames=args.frames, seed=args.seed)
     if args.workload == "random":
-        from .workloads.random_assignments import random_multicast
-
         return [
             random_multicast(args.n, seed=args.seed + i)
             for i in range(args.frames)
         ]
-    from .workloads.random_assignments import assignment_suite
-
     suite = assignment_suite(args.n, seed=args.seed)
     return [suite[i % len(suite)] for i in range(args.frames)]
 
 
-def _cmd_stats(args) -> int:
-    from .core.fabric import MulticastFabric
-    from .obs import CompositeObserver, MetricsObserver, TracingObserver
-
-    metrics = MetricsObserver()
-    tracing = TracingObserver()
-    cfg = NetworkConfig(
-        args.n,
-        engine=args.engine,
-        observer=CompositeObserver(metrics, tracing),
-    )
-    fabric = MulticastFabric(cfg, mode=args.mode)
-    try:
-        stats = fabric.run(_stats_frames(args))
-    finally:
-        fabric.close()
-
+def _stats_report(args, fabric, _frames, stats):
     print(f"session: n={args.n} engine={args.engine} workload={args.workload}")
     print(
         f"frames {stats.frames}, deliveries {stats.deliveries}, "
@@ -531,6 +590,7 @@ def _cmd_stats(args) -> int:
             f"({stats.plan_cache_hit_rate:.0%} hit rate)"
         )
     if not args.no_profile:
+        _, tracing = fabric.observer.observers  # (metrics, tracing)
         rows = _profile_rows(tracing)
         if rows:
             print()
@@ -541,48 +601,18 @@ def _cmd_stats(args) -> int:
                     rows,
                 )
             )
-    return _export_metrics(args, metrics)
+    return None, False
 
 
-def _export_metrics(args, metrics) -> int:
-    """Write ``--metrics-out`` / ``--prom-out`` files, if requested."""
-    if args.metrics_out is not None:
-        err = _write_text(args.metrics_out, metrics.registry.to_json() + "\n")
-        if err is not None:
-            print(err, file=sys.stderr)
-            return 2
-        print(f"\nmetrics JSON written to {args.metrics_out}")
-    if getattr(args, "prom_out", None) is not None:
-        err = _write_text(
-            args.prom_out, metrics.registry.to_prometheus_text()
-        )
-        if err is not None:
-            print(err, file=sys.stderr)
-            return 2
-        print(f"Prometheus text written to {args.prom_out}")
-    return 0
-
-
-def _finish_campaign(args, metrics, summary, failed) -> int:
-    """The shared ending of every campaign command.
-
-    Writes ``--summary-out`` (exit 2 on a write error), exports the
-    metrics, then exits 3 when ``failed`` (frames lost or accounting
-    incomplete) and 0 otherwise.
-    """
-    if args.summary_out is not None:
-        err = _write_text(
-            args.summary_out,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
-        if err is not None:
-            print(err, file=sys.stderr)
-            return 2
-        print(f"campaign summary written to {args.summary_out}")
-    rc = _export_metrics(args, metrics)
-    if rc == 0 and failed:
-        return 3
-    return rc
+def _cmd_stats(args) -> int:
+    return _run_campaign(
+        args,
+        "stats",
+        lambda args, cfg: MulticastFabric(cfg, mode=args.mode),
+        _stats_frames,
+        _stats_report,
+        traced=not args.no_profile,
+    )
 
 
 def _profile_rows(tracing) -> list:
@@ -638,16 +668,20 @@ _OVERLOAD_DEFAULTS = {
 
 
 def _cmd_chaos(args) -> int:
-    from .core.fabric import MulticastFabric
-    from .faults import FaultPlan, RetryPolicy
-    from .obs import MetricsObserver
-    from .workloads.random_assignments import random_multicast
-
     if args.overload:
         for name, default in _OVERLOAD_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
-        return _cmd_chaos_overload(args)
+        if args.control_log is not None and not args.adaptive:
+            print("--control-log requires --adaptive", file=sys.stderr)
+            return 2
+        return _run_campaign(
+            args,
+            "overload",
+            _overload_session,
+            _overload_arrivals,
+            _overload_report,
+        )
     given = [
         "--" + name.replace("_", "-")
         for name in _OVERLOAD_DEFAULTS
@@ -656,19 +690,21 @@ def _cmd_chaos(args) -> int:
     if given:
         print(f"{', '.join(given)} require --overload", file=sys.stderr)
         return 2
-    metrics = MetricsObserver()
-    try:
-        plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
-        cfg = NetworkConfig(
-            args.n, engine=args.engine, fault_plan=plan, observer=metrics
-        )
-        fabric = MulticastFabric(
+    return _run_campaign(
+        args,
+        "chaos",
+        lambda args, cfg: MulticastFabric(
             cfg, retry_policy=RetryPolicy(max_retries=args.retries)
-        )
-    except ValueError as exc:
-        print(f"bad chaos campaign parameters: {exc}", file=sys.stderr)
-        return 2
+        ),
+        lambda args, _fabric: (
+            random_multicast(args.n, seed=args.seed + 1 + i)
+            for i in range(args.frames)
+        ),
+        _chaos_report,
+    )
 
+
+def _chaos_report(args, fabric, _frames, stats):
     print(
         f"chaos campaign: n={args.n} frames={args.frames} "
         f"faults={args.faults} seed={args.seed} engine={args.engine}"
@@ -692,16 +728,11 @@ def _cmd_chaos(args) -> int:
                         else "payloads lost"
                     ),
                 ]
-                for f in plan.faults
+                for f in fabric.config.fault_plan.faults
             ],
         )
     )
     print()
-
-    stats = fabric.run(
-        random_multicast(args.n, seed=args.seed + 1 + i)
-        for i in range(args.frames)
-    )
     recovered, lost = stats.recovered_terminals, stats.lost_terminals
     delivered = stats.deliveries - recovered
     print(
@@ -729,72 +760,59 @@ def _cmd_chaos(args) -> int:
         "lost": lost,
         "quarantines": stats.quarantines,
     }
-    return _finish_campaign(args, metrics, summary, lost > 0)
+    return summary, lost > 0
 
 
-def _cmd_chaos_overload(args) -> int:
-    """The ``chaos --overload`` campaign: arrivals above capacity.
+def _overload_session(args, cfg):
+    """The ``chaos --overload`` session: Poisson arrivals above capacity.
 
-    Drives a seeded Poisson stream at ``--arrival-rate`` requests per
-    slot (service capacity is one packed frame per slot) through a
-    fault-injected :class:`~repro.core.arrivals.QueueingSimulator`
-    carrying an admission gate and an optional per-slot deadline, then
-    prints the complete accounting: every generated request ends in
-    exactly one of delivered / recovered / shed / lost.
+    A fault-injected :class:`~repro.core.arrivals.QueueingSimulator`
+    carrying an admission gate, an optional per-slot deadline and,
+    under ``--adaptive``, the closed-loop control plane.
     """
-    from .control import ControlPolicy
-    from .core.arrivals import QueueingSimulator, poisson_arrivals
-    from .faults import FaultPlan, RetryPolicy
-    from .obs import MetricsObserver
-    from .resilience import AdmissionPolicy
+    admission = AdmissionPolicy(
+        rate=args.admit_rate,
+        burst=args.admit_burst,
+        soft_watermark=args.soft_watermark,
+        hard_watermark=args.hard_watermark,
+    )
+    control = None
+    if args.adaptive:
+        # The AIMD loop may raise the refill rate up to twice the
+        # static gate's, and bank a priority reserve below the
+        # bucket's capacity — the static campaign is the floor, not
+        # the ceiling.
+        control = ControlPolicy(
+            rate_floor=min(0.5, args.admit_rate),
+            rate_ceiling=2.0 * args.admit_rate,
+            reserve_max=max(0.0, args.admit_burst - 1.0),
+            backlog_high=args.soft_watermark,
+            backlog_low=max(1.0, args.soft_watermark / 4.0),
+        )
+    return QueueingSimulator(
+        cfg.derive(
+            admission=admission, deadline_ms=args.deadline_ms, control=control
+        ),
+        retry_policy=RetryPolicy(max_retries=args.retries),
+    )
 
-    if args.control_log is not None and not args.adaptive:
-        print("--control-log requires --adaptive", file=sys.stderr)
-        return 2
-    metrics = MetricsObserver()
-    try:
-        plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
-        admission = AdmissionPolicy(
-            rate=args.admit_rate,
-            burst=args.admit_burst,
-            soft_watermark=args.soft_watermark,
-            hard_watermark=args.hard_watermark,
-        )
-        control = None
-        if args.adaptive:
-            # The AIMD loop may raise the refill rate up to twice the
-            # static gate's, and bank a priority reserve below the
-            # bucket's capacity — the static campaign is the floor, not
-            # the ceiling.
-            control = ControlPolicy(
-                rate_floor=min(0.5, args.admit_rate),
-                rate_ceiling=2.0 * args.admit_rate,
-                reserve_max=max(0.0, args.admit_burst - 1.0),
-                backlog_high=args.soft_watermark,
-                backlog_low=max(1.0, args.soft_watermark / 4.0),
-            )
-        cfg = NetworkConfig(
-            args.n,
-            engine=args.engine,
-            fault_plan=plan,
-            observer=metrics,
-            admission=admission,
-            deadline_ms=args.deadline_ms,
-            control=control,
-        )
-        sim = QueueingSimulator(
-            cfg, retry_policy=RetryPolicy(max_retries=args.retries)
-        )
-        arrivals = poisson_arrivals(
-            args.n,
-            rate=args.arrival_rate,
-            slots=args.frames,
-            seed=args.seed + 1,
-            high_priority_fraction=args.high_priority,
-        )
-    except ValueError as exc:
-        print(f"bad overload campaign parameters: {exc}", file=sys.stderr)
-        return 2
+
+def _overload_arrivals(args, _sim):
+    """A seeded Poisson stream at ``--arrival-rate`` requests per slot
+    (service capacity is one packed frame per slot) over ``--frames``
+    slots."""
+    return poisson_arrivals(
+        args.n,
+        rate=args.arrival_rate,
+        slots=args.frames,
+        seed=args.seed + 1,
+        high_priority_fraction=args.high_priority,
+    )
+
+
+def _overload_report(args, sim, arrivals, report):
+    """Every generated request ends in exactly one of delivered /
+    recovered / shed / lost."""
     print(
         f"overload campaign: n={args.n} slots={args.frames} "
         f"arrival_rate={args.arrival_rate} faults={args.faults} "
@@ -811,10 +829,6 @@ def _cmd_chaos_overload(args) -> int:
         + (" [adaptive]" if args.adaptive else "")
     )
     print()
-    try:
-        report = sim.run(arrivals)
-    finally:
-        sim.close()
     generated = len(arrivals)
     delivered = report.served - report.recovered
     lost = report.abandoned
@@ -844,24 +858,15 @@ def _cmd_chaos_overload(args) -> int:
         f"peak backlog {report.peak_backlog}, "
         f"p95 serve {report.p95_serve_ms:.2f} ms"
     )
+    decisions = 0
     if sim.control is not None:
-        decisions = sim.control.decision_log()
+        decisions = len(sim.control.decision_log())
         final = sim.gate.policy
         print(
             f"control: {sim.control.tick_count} ticks, "
-            f"{len(decisions)} adjustments, final gate "
+            f"{decisions} adjustments, final gate "
             f"rate={final.rate:.2f} reserve={final.reserve:.2f}"
         )
-        if args.control_log is not None:
-            try:
-                sim.control.export_decision_log(args.control_log)
-            except OSError as exc:
-                print(
-                    f"cannot write {args.control_log}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            print(f"control decision log written to {args.control_log}")
     summary = {
         "n": args.n,
         "seed": args.seed,
@@ -876,13 +881,9 @@ def _cmd_chaos_overload(args) -> int:
         "shed_low": shed_low,
         "lost": lost,
         "slots_run": report.slots_run,
-        "decisions": (
-            len(sim.control.decision_log()) if sim.control is not None else 0
-        ),
+        "decisions": decisions,
     }
-    return _finish_campaign(
-        args, metrics, summary, lost > 0 or accounted != generated
-    )
+    return summary, lost > 0 or accounted != generated
 
 
 def _cmd_cluster(args) -> int:
@@ -895,68 +896,73 @@ def _cmd_cluster(args) -> int:
     admission gates.  Same exit-code contract as ``chaos``: 0 on a
     clean campaign, 2 on bad parameters, 3 when admitted frames were
     lost or the accounting is incomplete (shed frames are accounted,
-    never exit 3 by themselves).
+    never exit 3 by themselves).  Faults are of the deterministic
+    kinds only: flaky-link drop masks are attempt-indexed (per-plane
+    state), which would make the outcome depend on how frames spread
+    over replicas.
     """
-    from .cluster import ClusterConfig, FabricCluster
-    from .faults import FaultKind, FaultPlan
-    from .obs import MetricsObserver
-    from .resilience import AdmissionPolicy
-    from .workloads.random_assignments import random_multicast
+    return _run_campaign(
+        args,
+        "cluster",
+        _cluster_session,
+        _cluster_frames,
+        _cluster_report,
+        kinds=[FaultKind.STUCK_AT, FaultKind.DEAD_SWITCH],
+    )
 
-    kills = []
+
+def _cluster_session(args, cfg):
+    admission = None
+    if args.admit_rate is not None:
+        admission = AdmissionPolicy(
+            rate=args.admit_rate, burst=args.admit_burst
+        )
+    seed = args.seed if args.placement_seed is None else args.placement_seed
+    return FabricCluster(
+        ClusterConfig(
+            replicas=args.replicas,
+            network=cfg.derive(admission=admission),
+            placement_seed=seed,
+            drain_frames=args.drain_frames,
+        )
+    )
+
+
+def _cluster_frames(args, cluster):
+    """Schedule the kills and the rolling restart on ``cluster``, then
+    return the frames: ``--distinct`` recurring assignments."""
+    if args.distinct < 1:
+        raise ValueError(f"distinct must be >= 1, got {args.distinct}")
     for spec in args.kill_replica:
         try:
-            replica_s, frame_s = spec.split("@", 1)
-            kills.append((int(replica_s), int(frame_s)))
+            replica, frame = map(int, spec.split("@", 1))
         except ValueError:
-            print(
-                f"bad --kill-replica {spec!r}: expected I@FRAME",
-                file=sys.stderr,
+            raise ValueError(
+                f"--kill-replica {spec!r}: expected I@FRAME"
+            ) from None
+        cluster.kill_replica(replica, at_frame=frame)
+    restart = None
+    if args.rolling_restart:
+        restart = cluster.rolling_restart()
+        restart.plan_campaign(args.frames)
+
+    def frames():
+        for i in range(args.frames):
+            yield random_multicast(
+                args.n, seed=args.seed + 1 + (i % args.distinct)
             )
-            return 2
-    placement_seed = (
-        args.seed if args.placement_seed is None else args.placement_seed
-    )
-    metrics = MetricsObserver()
-    try:
-        plan = None
-        if args.faults > 0:
-            # Deterministic fault kinds only: flaky-link drop masks are
-            # attempt-indexed (per-plane state), which would make the
-            # outcome depend on how frames spread over replicas.
-            plan = FaultPlan.random(
-                args.n,
-                faults=args.faults,
-                seed=args.seed,
-                kinds=[FaultKind.STUCK_AT, FaultKind.DEAD_SWITCH],
-            )
-        admission = None
-        if args.admit_rate is not None:
-            admission = AdmissionPolicy(
-                rate=args.admit_rate, burst=args.admit_burst
-            )
-        cfg = NetworkConfig(
-            args.n,
-            engine=args.engine,
-            fault_plan=plan,
-            observer=metrics,
-            admission=admission,
-        )
-        cluster = FabricCluster(
-            ClusterConfig(
-                replicas=args.replicas,
-                network=cfg,
-                placement_seed=placement_seed,
-                drain_frames=args.drain_frames,
-            )
-        )
-    except (TypeError, ValueError) as exc:
-        print(f"bad cluster campaign parameters: {exc}", file=sys.stderr)
-        return 2
+        if restart is not None:
+            restart.flush()  # the campaign is over: finish every cycle
+
+    return frames()
+
+
+def _cluster_report(args, cluster, _frames, stats):
     print(
         f"cluster campaign: n={args.n} replicas={args.replicas} "
         f"frames={args.frames} seed={args.seed} "
-        f"placement_seed={placement_seed} engine={args.engine}"
+        f"placement_seed={cluster.config.placement_seed} "
+        f"engine={args.engine}"
         + (f" faults={args.faults}" if args.faults else "")
         + (
             f" admit_rate={args.admit_rate}"
@@ -964,31 +970,6 @@ def _cmd_cluster(args) -> int:
             else ""
         )
     )
-    restart = None
-    try:
-        for replica, frame in kills:
-            cluster.kill_replica(replica, at_frame=frame)
-        if args.rolling_restart:
-            restart = cluster.rolling_restart()
-            restart.plan_campaign(args.frames)
-    except ValueError as exc:
-        print(f"bad cluster campaign schedule: {exc}", file=sys.stderr)
-        cluster.close()
-        return 2
-    distinct = max(1, args.distinct)
-    try:
-        for i in range(args.frames):
-            assignment = random_multicast(
-                args.n, seed=args.seed + 1 + (i % distinct)
-            )
-            cluster.submit(assignment)
-        if restart is not None:
-            restart.flush()
-        up_count = cluster.up_count
-        summary = dict(cluster.summary())
-    finally:
-        cluster.close()
-    stats = cluster.stats
     generated = args.frames
     accounted = stats.frames + stats.shed_frames
     print()
@@ -1009,18 +990,14 @@ def _cmd_cluster(args) -> int:
     )
     print(
         f"lifecycle: {stats.kills} kills, {stats.restarts} restarts, "
-        f"{up_count}/{args.replicas} replicas up"
+        f"{cluster.up_count}/{args.replicas} replicas up"
     )
     print(
         f"accounting: {accounted}/{generated} frames accounted "
         f"({'complete' if accounted == generated else 'INCOMPLETE'})"
     )
-    summary["seed"] = args.seed
-    summary["generated"] = generated
-    return _finish_campaign(
-        args, metrics, summary,
-        stats.lost_frames > 0 or accounted != generated,
-    )
+    summary = dict(cluster.summary(), seed=args.seed, generated=generated)
+    return summary, stats.lost_frames > 0 or accounted != generated
 
 
 def _cmd_tags(args) -> int:
@@ -1123,7 +1100,13 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except NetworkSizeError as exc:
+        # Campaign commands report a bad --n as a bad campaign
+        # parameter; this covers the commands that build no campaign.
+        print(f"bad {args.command} parameters: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -112,10 +112,9 @@ class FabricCluster:
     Args:
         config: a :class:`~repro.cluster.config.ClusterConfig`.  Every
             replica is built from ``config.network``; the observer on
-            that config (e.g. a thread-safe
-            :class:`~repro.obs.MetricsObserver`) is shared by the
-            replicas *and* receives the cluster's own ``cluster``
-            events (``repro_cluster_*`` metric families).
+            that config (e.g. a :class:`~repro.obs.MetricsObserver`)
+            is shared by the replicas *and* receives the cluster's own
+            ``cluster`` events (``repro_cluster_*`` metric families).
         mode: routing mode for every frame.
         strict: verification strictness (see
             :class:`~repro.core.fabric.MulticastFabric`).
@@ -129,7 +128,8 @@ class FabricCluster:
 
     Single-threaded: the replicas are in-process fabrics served in
     turn on the calling thread, and one thread at a time drives a
-    cluster (its router, frame index and statistics are unguarded).
+    cluster (see ``docs/architecture.md``, "Threading: one thread per
+    session").
     """
 
     def __init__(

@@ -456,19 +456,16 @@ class BRSMN:
     instance, which is pure logic).
 
     Single-threaded: every routing call runs on the calling thread, and
-    a network is driven by one thread at a time (its frame counter and
-    fault injector are unguarded).  To route from several threads,
-    give each thread its own network; they may share one plan cache,
-    whose LRU map and counters sit behind a lock.
+    one thread at a time drives a network and its plan cache (see
+    ``docs/architecture.md``, "Threading: one thread per session").
 
     Args:
         n: a :class:`~repro.core.config.NetworkConfig` (must be
             unrolled), or a bare network size (power of two, >= 2).
         plan_cache: fast engine only — a
-            :class:`~repro.core.fastplan.PlanCache` (or
-            :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`) to
-            share across networks (default: a private cache sized by
-            the config's ``plan_cache_size``, wired to the config's
+            :class:`~repro.core.fastplan.PlanCache` to use instead of a
+            private one (default: a private cache sized by the
+            config's ``plan_cache_size``, wired to the config's
             observer).
         observer: optional :class:`~repro.obs.events.Observer`
             (overrides the config's).

@@ -12,9 +12,9 @@ Latency histograms use power-of-two nanosecond buckets
 (:func:`~repro.obs.metrics.log2_buckets`), fanout histograms use
 power-of-two count buckets.
 
-The observer is thread-safe: every event is folded into the registry
-under one internal mutex, so networks routing on different threads may
-share one observer.
+One thread at a time drives the session an observer is attached to;
+give each thread its own observer (see ``docs/architecture.md``,
+"Threading: one thread per session").
 """
 
 from __future__ import annotations

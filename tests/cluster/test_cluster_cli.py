@@ -36,6 +36,13 @@ class TestExitCodes:
         assert main(["cluster", "--n", "16", "--replicas", "0"]) == 2
         assert "replicas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distinct", ["0", "-3"])
+    def test_bad_distinct_is_usage_error(self, distinct, capsys):
+        assert main(BASE + ["--distinct", distinct]) == 2
+        captured = capsys.readouterr()
+        assert "distinct must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_lossy_fault_campaign_returns_3(self, capsys):
         # Deterministic stuck-at faults at n=16 with a small retry
         # budget lose terminals for seed 3 (pinned by the seeded plan).

@@ -204,7 +204,13 @@ class TestCampaignExitContract:
         [
             (command, bad)
             for command in sorted(_CAMPAIGNS)
-            for bad in (["--n", "12"], ["--faults", "999"], ["--retries", "-1"])
+            for bad in (
+                ["--n", "12"],
+                ["--faults", "999"],
+                ["--retries", "-1"],
+                ["--frames", "-5"],
+                ["--faults", "-1"],
+            )
             if not (command == "cluster" and bad[0] == "--retries")
         ],
         ids=lambda v: v if isinstance(v, str) else "".join(v).lstrip("-"),
@@ -219,6 +225,30 @@ class TestCampaignExitContract:
         assert "campaign parameters" in err
         assert "Traceback" not in err
         assert not summary_path.exists()
+
+
+class TestUsageErrorsExit2:
+    """A bad --n or --frames is a usage error on every subcommand: one
+    stderr line and exit 2, never a traceback and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--n", "12"],
+            ["stats", "--n", "16", "--frames", "0"],
+            ["stats", "--n", "16", "--frames", "-5", "--workload", "random"],
+            ["tags", "--n", "12", "--dests", "1"],
+            ["structure", "--n", "12"],
+            ["schedule", "--n", "12"],
+        ],
+        ids=lambda argv: "_".join(argv).replace("-", ""),
+    )
+    def test_bad_size_or_frames(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestMetricsOutPaths:
