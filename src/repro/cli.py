@@ -69,10 +69,13 @@ Exit codes (the contract scripts and CI rely on):
   unwritable output path).
 * ``3`` — degraded ``chaos`` or ``cluster`` campaign: terminals were
   lost (or requests abandoned under ``--overload``) after the retry
-  budget, or the accounting is incomplete.  The campaign itself ran
-  to completion — distinguish this from ``2``, which means it never
-  ran.  Deliberately *shed* requests do not trigger ``3``: shedding
-  is the admission gate doing its job.
+  budget, or the accounting is incomplete.  The campaign ran —
+  distinguish this from ``2``, which means it never ran.  A
+  ``cluster`` campaign whose kills leave no alive replica stops at
+  that frame with one stderr line naming it, and reports (and writes
+  ``--summary-out`` for) the frames served before it.  Deliberately
+  *shed* requests do not trigger ``3``: shedding is the admission gate
+  doing its job.
 """
 
 from __future__ import annotations
@@ -83,18 +86,20 @@ import os
 import sys
 from typing import List, Optional
 
+from .analysis.report import reproduction_report
 from .analysis.tables import format_table
 from .baselines.models import PAPER_TABLE2
-from .cluster import ClusterConfig, FabricCluster
+from .cluster import ClusterConfig, ClusterUnavailableError, FabricCluster
 from .control import ControlPolicy
 from .core.arrivals import QueueingSimulator, poisson_arrivals
 from .core.config import NetworkConfig
 from .core.fabric import MulticastFabric
 from .core.multicast import MulticastAssignment, paper_example_assignment
 from .core.routing import build_network, route_multicast
+from .core.serialization import assignment_from_json, result_to_json
 from .core.tagtree import TagTree
 from .core.tags import format_tag_string
-from .errors import NetworkSizeError
+from .errors import InvalidAssignmentError, NetworkSizeError
 from .faults import FaultKind, FaultPlan, RetryPolicy
 from .hardware.cost import CostModel
 from .hardware.schedule import build_frame_schedule
@@ -408,9 +413,6 @@ def _cmd_route(args) -> int:
             return 2
         assignment = paper_example_assignment()
     elif args.file is not None:
-        from .core.serialization import assignment_from_json
-        from .errors import InvalidAssignmentError
-
         try:
             with open(args.file) as fh:
                 assignment = assignment_from_json(fh.read())
@@ -450,8 +452,6 @@ def _cmd_route(args) -> int:
     )
     report = result.verification
     if args.save is not None:
-        from .core.serialization import result_to_json
-
         if not _write_text(args.save, result_to_json(result) + "\n"):
             return 2
         print(f"result written to {args.save}")
@@ -490,7 +490,10 @@ def _run_campaign(
     and exit 2, before anything ran.  Then ``session.run(work)`` drives
     the campaign, and ``report(args, session, work, result)`` prints
     the outcome lines and returns ``(summary, failed)`` before the
-    session closes; :func:`_finish_campaign` ends it.
+    session closes; :func:`_finish_campaign` ends it.  A cluster left
+    with no alive replica stops the run at that frame: one stderr
+    line, then the report of the frames served, whose accounting is
+    incomplete.
     """
     metrics = MetricsObserver()
     session = None
@@ -520,7 +523,12 @@ def _run_campaign(
         print(f"bad {name} campaign parameters: {exc}", file=sys.stderr)
         return 2
     try:
-        summary, failed = report(args, session, work, session.run(work))
+        try:
+            result = session.run(work)
+        except ClusterUnavailableError as exc:
+            print(f"{name} campaign stopped: {exc}", file=sys.stderr)
+            result = session.stats
+        summary, failed = report(args, session, work, result)
     finally:
         session.close()
     return _finish_campaign(args, session, metrics, summary, failed)
@@ -1001,8 +1009,11 @@ def _cluster_report(args, cluster, _frames, stats):
 
 
 def _cmd_tags(args) -> int:
-    dests = [int(d) for d in args.dests.split(",") if d.strip() != ""]
-    tree = TagTree.from_destinations(args.n, dests)
+    try:
+        dests = [int(d) for d in args.dests.split(",") if d.strip() != ""]
+        tree = TagTree.from_destinations(args.n, dests)
+    except ValueError as exc:  # InvalidTagError, NetworkSizeError too
+        return _bad_parameters(args.command, exc)
     tree.validate()
     seq = tree.to_sequence()
     print(f"destinations : {sorted(dests)}")
@@ -1038,7 +1049,10 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        return _bad_parameters(args.command, exc)
     print("paper Table 2:")
     print(
         format_table(
@@ -1077,8 +1091,6 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_report(_args) -> int:
-    from .analysis.report import reproduction_report
-
     report = reproduction_report()
     print(report.render())
     return 0 if report.ok else 1
@@ -1097,6 +1109,12 @@ _COMMANDS = {
 }
 
 
+def _bad_parameters(command: str, exc: Exception) -> int:
+    """One ``bad <command> parameters`` line on stderr; exit 2."""
+    print(f"bad {command} parameters: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1105,8 +1123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NetworkSizeError as exc:
         # Campaign commands report a bad --n as a bad campaign
         # parameter; this covers the commands that build no campaign.
-        print(f"bad {args.command} parameters: {exc}", file=sys.stderr)
-        return 2
+        return _bad_parameters(args.command, exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..core.serialization import assignment_fingerprint
+from ..core.multicast import assignment_fingerprint
 from ..errors import ReproError
 from ..obs.events import emit
 from .config import ClusterConfig

@@ -6,7 +6,7 @@ the replica that already compiled its
 :class:`~repro.core.fastplan.FramePlan`.  :class:`ClusterRouter` does
 this with rendezvous (highest-random-weight) hashing keyed on the
 assignment's content fingerprint
-(:func:`~repro.core.serialization.assignment_fingerprint`):
+(:func:`~repro.core.multicast.assignment_fingerprint`):
 
 * every (fingerprint, replica) pair hashes to a weight; the frame's
   candidate order is the replicas sorted by descending weight,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidAssignmentError
+from ..errors import InvalidAssignmentError, RoutingInvariantError
 from ..rbn.permutations import check_network_size
 from .config import NetworkConfig
 from .multicast import MulticastAssignment
@@ -234,8 +234,6 @@ def route_requests(
         result = network.route(frame, mode=mode, payloads=payloads)
         report = verify_result(result)
         if not report.ok:
-            from ..errors import RoutingInvariantError
-
             raise RoutingInvariantError(
                 f"frame {k} failed: " + "; ".join(report.violations)
             )

@@ -50,11 +50,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
+from ..faults.injector import FaultHit, FaultInjector
 from ..obs.events import Event, emit
 from ..rbn.cells import Cell
 from ..rbn.permutations import check_network_size
 from ..rbn.switches import SwitchSetting
 from ..rbn.trace import Trace
+from . import fastplan
 from .bsn import BinarySplittingNetwork, BsnFrameStats
 from .config import NetworkConfig, _resolve_config
 from .message import Message
@@ -488,20 +490,16 @@ class BRSMN:
         # bit-identical (and pays nothing) whether the caller passed
         # fault_plan=None or FaultPlan.empty(n).
         if cfg.fault_plan is not None and not cfg.fault_plan.is_empty:
-            from ..faults.injector import FaultInjector  # deferred: cycle
-
             self.fault_plan = cfg.fault_plan
             self._injector = FaultInjector(cfg.fault_plan)
         else:
             self.fault_plan = None
             self._injector = None
         if cfg.engine == "fast" or plan_cache is not None:
-            from .fastplan import PlanCache  # deferred: import cycle
-
             self.plan_cache = (
                 plan_cache
                 if plan_cache is not None
-                else PlanCache(
+                else fastplan.PlanCache(
                     maxsize=cfg.plan_cache_size, observer=cfg.observer
                 )
             )
@@ -715,12 +713,10 @@ class BRSMN:
         """
         if observer is None and self.fault_plan is None:
             return self.plan_cache.get(assignment)
-        from .fastplan import compile_frame_plan  # deferred, as above
-
         fault_plan = self.fault_plan
         return self.plan_cache.get(
             assignment,
-            compile_fn=lambda a: compile_frame_plan(
+            compile_fn=lambda a: fastplan.compile_frame_plan(
                 a, observer=observer, frame_id=frame_id, fault_plan=fault_plan
             ),
             extra_key=self._plan_key,
@@ -777,8 +773,6 @@ class BRSMN:
         """Normalise a compiled plan's fault hits to ``FaultHit`` objects."""
         if not plan.has_faults:
             return []
-        from ..faults.injector import FaultHit  # deferred: cycle
-
         return [
             FaultHit(fault=fault, outputs=outputs)
             for fault, outputs in list(plan.fault_hits) + plan.flaky_hits(attempt)
@@ -797,9 +791,9 @@ class BRSMN:
         """
         if self.plan_cache is None:
             return 0
-        from .fastplan import compile_frame_plans  # deferred, as above
-
-        plans = compile_frame_plans(assignments, fault_plan=self.fault_plan)
+        plans = fastplan.compile_frame_plans(
+            assignments, fault_plan=self.fault_plan
+        )
         key = self._plan_key
         for assignment, plan in zip(assignments, plans):
             self.plan_cache.get(

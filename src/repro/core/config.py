@@ -22,7 +22,7 @@ Example::
 
     cfg = NetworkConfig(256, engine="fast", plan_cache_size=512,
                         observer=MetricsObserver())
-    fabric = MulticastFabric(cfg)          # or cfg.build() for a bare network
+    fabric = MulticastFabric(cfg)   # or build_network(cfg) for a bare network
 """
 
 from __future__ import annotations
@@ -205,12 +205,6 @@ class NetworkConfig:
                 f"(valid fields: {', '.join(sorted(valid))})"
             )
         return replace(self, **overrides)
-
-    def build(self):
-        """Construct the configured network (see ``build_network``)."""
-        from .routing import build_network  # local: routing imports config
-
-        return build_network(self)
 
 
 _UNSET = object()

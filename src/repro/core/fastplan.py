@@ -26,7 +26,7 @@ routing into array form:
   share an assignment in one fancy-indexing gather;
 * :class:`PlanCache` memoises compiled plans under the canonical
   assignment fingerprint
-  (:func:`repro.core.serialization.assignment_fingerprint`), with
+  (:func:`repro.core.multicast.assignment_fingerprint`), with
   hit/miss counters, because real traffic — hotspots, conference
   sessions, replicated writes — repeats assignments far more often than
   it invents new ones.
@@ -40,7 +40,6 @@ are property-tested delivery-identical in
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -67,8 +66,7 @@ from ..rbn.fast_scatter import (
 )
 from ..rbn.permutations import check_network_size
 from .bsn import BsnFrameStats
-from .multicast import MulticastAssignment
-from .serialization import assignment_fingerprint
+from .multicast import MulticastAssignment, assignment_fingerprint
 
 __all__ = [
     "compile_level_gather",
@@ -676,15 +674,13 @@ class PlanCache:
     """An LRU cache of compiled :class:`FramePlan` objects.
 
     Keyed on the canonical assignment fingerprint
-    (:func:`repro.core.serialization.assignment_fingerprint`), so two
+    (:func:`repro.core.multicast.assignment_fingerprint`), so two
     structurally identical assignments share one compiled plan no
     matter how they were constructed.
 
     A cache belongs to one network, and one thread at a time drives
     it — the same contract as the fabric, cluster or simulator that
-    owns the network, whose counters are unguarded too.  The internal
-    mutex does not make the cache safe to share across threads; it
-    predates that contract.
+    owns the network, whose counters are unguarded too.
 
     Each entry also keeps its assignment's read-only source vector
     (a canonical form of the assignment, ``n`` int64s) so that
@@ -708,9 +704,6 @@ class PlanCache:
     # Each entry's source vector, for warm-restart snapshots (see
     # repro.resilience.snapshot).
     _vectors: Dict[str, np.ndarray] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @staticmethod
     def make_key(assignment: MulticastAssignment, extra_key: str = "") -> str:
@@ -719,15 +712,13 @@ class PlanCache:
         return f"{key}@{extra_key}" if extra_key else key
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache."""
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def get(
         self,
@@ -750,37 +741,25 @@ class PlanCache:
             the cache.
         """
         key = self.make_key(assignment, extra_key)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-            else:
-                self.misses += 1
-            size = len(self._plans)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.hits += 1
+            self._plans.move_to_end(key)
+        else:
+            self.misses += 1
         kind = "hit" if plan is not None else "miss"
-        emit(self.observer, "fastplan.plan_cache", kind, key=key, size=size)
+        emit(self.observer, "fastplan.plan_cache", kind, key=key,
+             size=len(self._plans))
         if plan is not None:
             return plan, True
         plan = compile_fn(assignment)
-        evicted = []
-        with self._lock:
-            raced = self._plans.get(key)
-            if raced is not None:
-                # Another thread compiled and inserted first; keep its
-                # plan so every caller shares one object.
-                plan = raced
-                self._plans.move_to_end(key)
-            else:
-                self._plans[key] = plan
-                self._vectors[key] = assignment.source_vector()
-                while len(self._plans) > self.maxsize:
-                    old, _ = self._plans.popitem(last=False)
-                    self._vectors.pop(old, None)
-                    evicted.append((old, len(self._plans)))
-        for old, size in evicted:
+        self._plans[key] = plan
+        self._vectors[key] = assignment.source_vector()
+        while len(self._plans) > self.maxsize:
+            old, _ = self._plans.popitem(last=False)
+            self._vectors.pop(old, None)
             emit(self.observer, "fastplan.plan_cache", "evict", key=old,
-                 size=size)
+                 size=len(self._plans))
         return plan, False
 
     def snapshot_assignments(self) -> List[MulticastAssignment]:
@@ -789,15 +768,15 @@ class PlanCache:
         (:class:`~repro.resilience.snapshot.FabricSnapshot`).  Each is
         rebuilt from the entry's source vector, so it equals the
         assignment that was cached."""
-        with self._lock:
-            vectors = [self._vectors[key] for key in self._plans]
-        return [MulticastAssignment.from_source_vector(v) for v in vectors]
+        return [
+            MulticastAssignment.from_source_vector(self._vectors[key])
+            for key in self._plans
+        ]
 
     def clear(self) -> None:
         """Drop every cached plan and reset the counters."""
-        with self._lock:
-            self._plans.clear()
-            self._vectors.clear()
-            self.hits = 0
-            self.misses = 0
+        self._plans.clear()
+        self._vectors.clear()
+        self.hits = 0
+        self.misses = 0
         emit(self.observer, "fastplan.plan_cache", "clear", key="", size=0)

@@ -16,6 +16,8 @@ exposed here as :func:`paper_example_assignment`.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -26,7 +28,11 @@ import numpy as np
 from ..errors import InvalidAssignmentError
 from ..rbn.permutations import check_network_size
 
-__all__ = ["MulticastAssignment", "paper_example_assignment"]
+__all__ = [
+    "MulticastAssignment",
+    "assignment_fingerprint",
+    "paper_example_assignment",
+]
 
 DestinationsLike = Union[Iterable[int], None]
 
@@ -46,7 +52,7 @@ class MulticastAssignment:
 
     Values derived from the destination sets (:meth:`source_vector`,
     :meth:`fanout_counts`, the
-    :func:`~repro.core.serialization.assignment_fingerprint` digest) are
+    :func:`assignment_fingerprint` digest) are
     memoised on the instance outside the dataclass fields: equality,
     hashing and pickling see only ``n`` and ``destinations``.  Every
     idle input shares one empty frozenset.
@@ -258,6 +264,39 @@ class MulticastAssignment:
             for ds in self.destinations
         )
         return f"MulticastAssignment(n={self.n}, [{body}])"
+
+
+def assignment_fingerprint(assignment: MulticastAssignment) -> str:
+    """Canonical content fingerprint of an assignment.
+
+    Two assignments fingerprint equal iff they have the same ``n`` and
+    the same destination sets, regardless of how they were constructed.
+    The digest keys the routing-plan cache
+    (:class:`repro.core.fastplan.PlanCache`) and the cluster's
+    rendezvous placement.  :mod:`repro.core.serialization` re-exports
+    it under the same name.  It is memoised on the (immutable)
+    assignment, so every call after the first is a dict read.
+
+    Returns:
+        A sha256 hex digest of the compact canonical JSON form.
+    """
+    digest = assignment.__dict__.get("_fingerprint")
+    if digest is None:
+        canonical = json.dumps(
+            {
+                "n": assignment.n,
+                "destinations": {
+                    str(i): sorted(ds)
+                    for i, ds in enumerate(assignment.destinations)
+                    if ds
+                },
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assignment.__dict__["_fingerprint"] = digest
+    return digest
 
 
 def paper_example_assignment() -> MulticastAssignment:

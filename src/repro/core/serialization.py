@@ -25,14 +25,12 @@ Formats (all top-level objects carry a ``"kind"`` discriminator):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List
 
 from ..errors import InvalidAssignmentError
 from .admission import Request
-from .brsmn import RoutingResult
-from .multicast import MulticastAssignment
+from .multicast import MulticastAssignment, assignment_fingerprint
 
 __all__ = [
     "assignment_to_json",
@@ -55,38 +53,6 @@ def assignment_to_json(assignment: MulticastAssignment) -> str:
         {"kind": "assignment", "n": assignment.n, "destinations": dests},
         indent=2,
     )
-
-
-def assignment_fingerprint(assignment: MulticastAssignment) -> str:
-    """Canonical content fingerprint of an assignment.
-
-    Two assignments fingerprint equal iff they have the same ``n`` and
-    the same destination sets, regardless of how they were constructed.
-    The digest keys the routing-plan cache
-    (:class:`repro.core.fastplan.PlanCache`) and the cluster's
-    rendezvous placement.  It is memoised on the (immutable)
-    assignment, so every call after the first is a dict read.
-
-    Returns:
-        A sha256 hex digest of the compact canonical JSON form.
-    """
-    digest = assignment.__dict__.get("_fingerprint")
-    if digest is None:
-        canonical = json.dumps(
-            {
-                "n": assignment.n,
-                "destinations": {
-                    str(i): sorted(ds)
-                    for i, ds in enumerate(assignment.destinations)
-                    if ds
-                },
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        assignment.__dict__["_fingerprint"] = digest
-    return digest
 
 
 def assignment_from_json(text: str) -> MulticastAssignment:

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..rbn.trace import Trace
-from .brsmn import RoutingResult
 from .message import Message
 from .multicast import MulticastAssignment
 

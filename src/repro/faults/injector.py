@@ -6,9 +6,10 @@ compiles the same plan into its gather arrays — see
 message frame at each fault plane exactly as the plane model
 prescribes:
 
-* ``stuck_at`` with a crossed setting swaps the two link positions via
-  :func:`repro.rbn.switches.apply_fault_pair` — the same Fig. 3
-  semantics the healthy switches use;
+* ``stuck_at`` with a crossed setting swaps the two link positions —
+  the crossed setting of Fig. 3b applied unconditionally: the fault
+  sits between levels, after tags have been consumed, so every input
+  pair is legal and the cell is a plain exchange;
 * ``dead_switch`` / ``flaky_link`` lose *payloads*, not circuits: the
   message object keeps routing (its tag stream still drives every
   downstream switch) but carries the :data:`PAYLOAD_LOST` sentinel, and
@@ -122,8 +123,6 @@ class FaultInjector:
         faults = self._by_level.get(level)
         if not faults:
             return []
-        from ..rbn.switches import apply_fault_pair  # local: rbn <-> faults
-
         hits: List[FaultHit] = []
         hi = base + len(frame)
         for fault in faults:
@@ -137,7 +136,7 @@ class FaultInjector:
             affected: Tuple[int, ...] = ()
             if fault.kind is FaultKind.STUCK_AT:
                 if fault.stuck_setting == 1:
-                    frame[i], frame[j] = apply_fault_pair(upper, lower)
+                    frame[i], frame[j] = lower, upper
                     if delivery:
                         affected = tuple(
                             pos

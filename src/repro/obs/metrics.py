@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .prometheus import _format_le, render_prometheus_text
+
 __all__ = [
     "log2_buckets",
     "Counter",
@@ -336,15 +338,4 @@ class MetricsRegistry:
 
     def to_prometheus_text(self) -> str:
         """Render the registry in the Prometheus text exposition format."""
-        from .prometheus import render_prometheus_text  # local: avoid cycle
-
         return render_prometheus_text(self)
-
-
-def _format_le(bound: float) -> str:
-    """Canonical ``le`` label value for a bucket boundary."""
-    if bound == _INF:
-        return "+Inf"
-    if bound == int(bound):
-        return str(int(bound))
-    return repr(bound)

@@ -19,7 +19,6 @@ give each thread its own observer (see ``docs/architecture.md``,
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -305,7 +304,7 @@ class MetricsObserver(Observer):
     """Aggregate events into a :class:`MetricsRegistry`.
 
     Label values come from each event, so one observer may be shared by
-    several networks and threads.
+    several networks driven from one thread.
 
     Args:
         registry: registry to populate (default: a private one, exposed
@@ -314,7 +313,6 @@ class MetricsObserver(Observer):
 
     def __init__(self, registry: MetricsRegistry = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
         self._updates: Dict[Tuple[str, str], list] = {}
         for family in FAMILIES:
             register = getattr(self.registry, family.type)
@@ -332,6 +330,5 @@ class MetricsObserver(Observer):
         updates = self._updates.get((event.stage, event.kind))
         if updates is None:
             return
-        with self._lock:
-            for update in updates:
-                update(event)
+        for update in updates:
+            update(event)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, _format_le
-
 __all__ = ["render_prometheus_text", "parse_prometheus_text"]
 
 _INF = float("inf")
@@ -40,6 +38,15 @@ def _labels_text(names: Tuple[str, ...], values: Tuple[str, ...]) -> str:
     return "{" + inner + "}"
 
 
+def _format_le(bound: float) -> str:
+    """Canonical ``le`` label value for a bucket boundary."""
+    if bound == _INF:
+        return "+Inf"
+    if bound == int(bound):
+        return str(int(bound))
+    return repr(bound)
+
+
 def _num(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
@@ -53,7 +60,7 @@ def render_prometheus_text(registry: MetricsRegistry) -> str:
         if metric.help:
             lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, Histogram):
+        if metric.kind == "histogram":
             for key, series in metric.samples():
                 acc = 0
                 for bound, count in zip(
@@ -67,7 +74,7 @@ def render_prometheus_text(registry: MetricsRegistry) -> str:
                 base = _labels_text(metric.labelnames, key)
                 lines.append(f"{metric.name}_sum{base} {_num(series.sum)}")
                 lines.append(f"{metric.name}_count{base} {series.count}")
-        elif isinstance(metric, (Counter, Gauge)):
+        elif metric.kind in ("counter", "gauge"):
             for key, value in metric.samples():
                 labels = _labels_text(metric.labelnames, key)
                 lines.append(f"{metric.name}{labels} {_num(value)}")

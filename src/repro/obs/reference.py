@@ -21,6 +21,7 @@ import math
 from typing import List
 
 from .metrics import Histogram
+from .metrics_observer import MetricsObserver
 
 __all__ = ["metrics_reference_markdown", "update_generated_section"]
 
@@ -48,8 +49,6 @@ def metrics_reference_markdown() -> str:
     Instantiates a fresh :class:`MetricsObserver` so the table reflects
     exactly the families the library registers, in registration order.
     """
-    from .metrics_observer import MetricsObserver  # local: avoid cycle
-
     registry = MetricsObserver().registry
     rows: List[str] = [
         "| metric | type | labels | buckets | description |",

@@ -31,7 +31,6 @@ from .cells import Cell
 __all__ = [
     "SwitchSetting",
     "apply_switch",
-    "apply_fault_pair",
     "legal_tag_operations",
     "is_unicast",
     "is_broadcast",
@@ -93,24 +92,6 @@ def apply_switch(
             f"({src.tag}, {other.tag}) under {setting.name}"
         )
     return src.split()
-
-
-def apply_fault_pair(upper, lower) -> tuple:
-    """Apply a stuck-crossed fault-plane cell to a link pair.
-
-    A fault plane (see :mod:`repro.faults.plan`) is a virtual column of
-    pass-through 2x2 cells on the inter-level links; a healthy cell is
-    ``PARALLEL`` and a ``stuck_at`` fault with a crossed setting applies
-    Fig. 3b unconditionally to whatever the links carry.  Unlike
-    :func:`apply_switch` this operates on the *link signals themselves*
-    (messages, in the core layer) rather than on RBN cells, because the
-    fault sits between levels, after tags have been consumed — so every
-    input pair is legal and the operation is a plain exchange.
-
-    Returns:
-        ``(upper_out, lower_out)`` — the crossed pair.
-    """
-    return lower, upper
 
 
 def legal_tag_operations() -> list[tuple[SwitchSetting, tuple[Tag, Tag], tuple[Tag, Tag]]]:

@@ -43,6 +43,22 @@ class TestExitCodes:
         assert "distinct must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_killing_every_replica_stops_incomplete(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        rc = main(["cluster", "--n", "16", "--frames", "8",
+                   "--kill-replica", "0@1", "--kill-replica", "1@1",
+                   "--summary-out", str(summary)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "cluster campaign stopped: frame 1: home replica 1 died and "
+            "no sibling remains"
+        ]
+        assert "accounting: 1/8 frames accounted (INCOMPLETE)" in captured.out
+        doc = json.loads(summary.read_text())
+        assert (doc["frames"], doc["generated"], doc["kills"]) == (1, 8, 2)
+
     def test_lossy_fault_campaign_returns_3(self, capsys):
         # Deterministic stuck-at faults at n=16 with a small retry
         # budget lose terminals for seed 3 (pinned by the seeded plan).

@@ -228,8 +228,9 @@ class TestCampaignExitContract:
 
 
 class TestUsageErrorsExit2:
-    """A bad --n or --frames is a usage error on every subcommand: one
-    stderr line and exit 2, never a traceback and exit 1."""
+    """A bad --n, --frames, --dests or --sizes is a usage error on every
+    subcommand: one stderr line and exit 2, never a traceback and exit
+    1."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -238,6 +239,9 @@ class TestUsageErrorsExit2:
             ["stats", "--n", "16", "--frames", "0"],
             ["stats", "--n", "16", "--frames", "-5", "--workload", "random"],
             ["tags", "--n", "12", "--dests", "1"],
+            ["tags", "--n", "8", "--dests", "9"],
+            ["tags", "--n", "8", "--dests", "a"],
+            ["table2", "--sizes", "x"],
             ["structure", "--n", "12"],
             ["schedule", "--n", "12"],
         ],

@@ -94,9 +94,10 @@ class TestValidation:
         assert cfg.n == 8 and cfg.engine == "reference"
 
     def test_build(self):
-        assert isinstance(NetworkConfig(8).build(), BRSMN)
+        assert isinstance(build_network(NetworkConfig(8)), BRSMN)
         assert isinstance(
-            NetworkConfig(8, implementation="feedback").build(), FeedbackBRSMN
+            build_network(NetworkConfig(8, implementation="feedback")),
+            FeedbackBRSMN,
         )
 
 
