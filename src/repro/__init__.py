@@ -45,12 +45,11 @@ Subpackages:
   fault plans) and self-healing (detection, bounded retries,
   sibling-subnetwork reroute, degraded-mode results, plane health).
 * :mod:`repro.resilience` — the overload-serving layer (deadline
-  budgets, admission control, circuit breakers, warm-restart
-  snapshots).
+  budgets, admission control, warm-restart snapshots).
 * :mod:`repro.control` — the adaptive control plane (a
-  deterministic tick loop that samples the admission gate's sheds, the
-  breaker state and the backlog, pure AIMD/backoff controllers, and a
-  replayable decision log).
+  deterministic tick loop that samples the admission gate's sheds and
+  the backlog, a pure AIMD admission controller, and a replayable
+  decision log).
 * :mod:`repro.cluster` — the multi-replica serving tier (plan-affinity
   rendezvous placement, health-aware failover, zero-loss rolling
   restarts over K independent fabrics).
@@ -116,9 +115,6 @@ from .obs import (
 from .resilience import (
     AdmissionGate,
     AdmissionPolicy,
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
     DeadlineBudget,
     FabricSnapshot,
     ShedFrame,
@@ -131,9 +127,6 @@ __all__ = [
     "AdmissionPolicy",
     "BRSMN",
     "BinarySplittingNetwork",
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
     "ClusterConfig",
     "ClusterStats",
     "CompositeObserver",

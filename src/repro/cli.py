@@ -105,6 +105,7 @@ from .hardware.cost import CostModel
 from .hardware.schedule import build_frame_schedule
 from .hardware.timing import TimingModel
 from .obs import CompositeObserver, MetricsObserver, TracingObserver
+from .rbn.permutations import check_network_size
 from .resilience import AdmissionPolicy
 from .viz.ascii import render_assignment, render_delivery, render_trace
 from .workloads.hotspot import hotspot_session
@@ -1051,6 +1052,8 @@ def _cmd_structure(args) -> int:
 def _cmd_table2(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
+        for n in sizes:
+            check_network_size(n)
     except ValueError as exc:
         return _bad_parameters(args.command, exc)
     print("paper Table 2:")

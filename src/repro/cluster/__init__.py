@@ -5,8 +5,8 @@ scales *up*: K independent
 :class:`~repro.core.fabric.MulticastFabric` replicas behind one
 deterministic facade, with plan-affinity placement (rendezvous hashing
 on assignment fingerprints keeps repeated assignments on the replica
-that already compiled their plan), health-aware failover (open breaker
-or quarantined primary deprioritizes a replica; a killed replica's
+that already compiled their plan), health-aware failover (a quarantined
+primary deprioritizes a replica; a killed replica's
 in-flight frame requeues exactly once to a sibling, bit-identically),
 and zero-loss rolling restarts (drain, snapshot, warm-restore a
 successor, re-admit — all on the frame clock, so seeded campaigns

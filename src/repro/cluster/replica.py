@@ -14,9 +14,9 @@ replicas serve nothing — a frame placed on a replica that goes down
 before service is requeued to a sibling by the cluster.
 
 The replica also carries the *impairment* signal the router uses for
-health-aware balancing: a replica whose circuit breaker is open or
-whose :class:`~repro.faults.health.HealthTracker` has quarantined the
-primary plane still serves (on its standby plane), but new placements
+health-aware balancing: a replica whose
+:class:`~repro.faults.health.HealthTracker` has taken the primary plane
+out of service still serves (on its standby plane), but new placements
 prefer unimpaired siblings.
 """
 
@@ -123,16 +123,11 @@ class FabricReplica:
     def impaired(self) -> bool:
         """True when the router should deprioritize this replica.
 
-        An open circuit breaker or a quarantined primary plane means
-        the replica is serving degraded (standby plane, short-circuited
-        primary); it remains a valid target but loses placement
-        priority to unimpaired siblings.
+        A quarantined primary plane means the replica is serving
+        degraded (on its standby plane); it remains a valid target but
+        loses placement priority to unimpaired siblings.
         """
-        fabric = self.fabric
-        breaker = getattr(fabric, "breaker", None)
-        if breaker is not None and breaker.is_open:
-            return True
-        health = fabric.health
+        health = self.fabric.health
         return health is not None and not health.use_primary
 
     # -- serving -------------------------------------------------------

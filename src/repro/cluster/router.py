@@ -20,9 +20,9 @@ assignment's content fingerprint
   the same workload differently, deterministically.
 
 Health-aware balancing is layered on top: serving (UP) replicas are
-partitioned into unimpaired and impaired (open breaker / quarantined
-primary), each partition keeps rendezvous order, and impaired replicas
-go to the back.  DOWN replicas never appear; DRAINING replicas are
+partitioned into unimpaired and impaired (quarantined primary), each
+partition keeps rendezvous order, and impaired replicas go to the
+back.  DOWN replicas never appear; DRAINING replicas are
 offered only when nothing else serves (they are alive — refusing
 traffic during a single-replica rolling restart would lose frames).
 """

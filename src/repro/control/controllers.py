@@ -1,25 +1,20 @@
 """Pure control laws: ``(policy, signals, state) -> (state, actions)``.
 
-Each controller here is a *pure function* over immutable inputs — a
+The controller here is a *pure function* over immutable inputs — a
 :class:`~repro.control.policy.ControlPolicy`, a
 :class:`SignalWindow` and the controller's own
 frozen state — returning a new state plus the :class:`ControlAction`s
-that would move the actuators there.  No controller touches an
-actuator, reads a clock, or keeps hidden state; the
+that would move the actuator there.  It never touches the actuator,
+reads a clock, or keeps hidden state; the
 :class:`~repro.control.plane.ControlPlane` owns all side effects.
 That split is what makes seeded campaigns replay bit-identically:
 identical windows in, identical decisions out, every run.
 
-The two loops:
-
-* :func:`admission_step` — AIMD on the
-  :class:`~repro.resilience.gate.AdmissionGate` refill rate (and its
-  priority reserve): additive increase while high-priority frames are
-  being shed or capacity sits idle, multiplicative decrease the moment
-  the backlog crosses ``backlog_high``.
-* :func:`backoff_step` — scales
-  :class:`~repro.faults.healing.RetryPolicy` backoff while the circuit
-  breaker is HALF_OPEN, so probe traffic paces itself.
+The loop, :func:`admission_step`, is AIMD on the
+:class:`~repro.resilience.gate.AdmissionGate` refill rate (and its
+priority reserve): additive increase while high-priority frames are
+being shed or capacity sits idle, multiplicative decrease the moment
+the backlog crosses ``backlog_high``.
 """
 
 from __future__ import annotations
@@ -33,9 +28,7 @@ __all__ = [
     "SignalWindow",
     "ControlAction",
     "AdmissionState",
-    "BackoffState",
     "admission_step",
-    "backoff_step",
 ]
 
 
@@ -52,14 +45,11 @@ class SignalWindow:
             window — the signal the AIMD loop exists to drive to zero.
         shed_low: priority <= 0 frames shed in the window.
         queue_depth: backlog depth sampled at the most recent tick.
-        breaker_half_open: True when the circuit breaker was HALF_OPEN
-            at the most recent tick.
     """
 
     shed_high: int = 0
     shed_low: int = 0
     queue_depth: int = 0
-    breaker_half_open: bool = False
 
 
 @dataclass(frozen=True)
@@ -67,15 +57,12 @@ class ControlAction:
     """One actuator adjustment a controller decided on.
 
     Attributes:
-        controller: which loop decided (``"admission"`` or
-            ``"backoff"``).
-        parameter: the actuator knob (``"rate"``, ``"reserve"``,
-            ``"backoff_scale"``).
+        controller: which loop decided (``"admission"``).
+        parameter: the actuator knob (``"rate"`` or ``"reserve"``).
         old: the knob's value before the adjustment.
         new: the value the controller chose.
         reason: deterministic one-word cause (``"backlog"``,
-            ``"high_priority_shed"``, ``"spare_capacity"``,
-            ``"breaker_half_open"``, ``"breaker_recovered"``).
+            ``"high_priority_shed"``, ``"spare_capacity"``).
     """
 
     controller: str
@@ -100,13 +87,6 @@ class AdmissionState:
     rate: float
     reserve: float
     reserve_cap: float = float("inf")
-
-
-@dataclass(frozen=True)
-class BackoffState:
-    """Backoff state: the retry-delay scale currently applied."""
-
-    scale: float
 
 
 def admission_step(
@@ -180,29 +160,3 @@ def admission_step(
         actions,
     )
 
-
-def backoff_step(
-    policy: ControlPolicy, signals: SignalWindow, state: BackoffState
-) -> Tuple[BackoffState, List[ControlAction]]:
-    """Scale healing backoff while the breaker probes a recovering plane.
-
-    HALF_OPEN means the breaker is letting sparse probe traffic judge
-    whether the primary plane healed; scaling retry delays by
-    ``half_open_backoff_scale`` keeps those probes from stampeding it
-    back into OPEN.  Any other breaker state restores scale 1.0.
-    """
-    actions: List[ControlAction] = []
-    desired = (
-        policy.half_open_backoff_scale if signals.breaker_half_open else 1.0
-    )
-    if desired != state.scale:
-        reason = (
-            "breaker_half_open" if signals.breaker_half_open
-            else "breaker_recovered"
-        )
-        actions.append(
-            ControlAction(
-                "backoff", "backoff_scale", state.scale, desired, reason
-            )
-        )
-    return BackoffState(scale=desired), actions

@@ -1,21 +1,13 @@
-"""The control plane: one tick loop binding signals to actuators.
+"""The control plane: one tick loop from signals to the admission gate.
 
 :class:`ControlPlane` is the only stateful, side-effecting piece of
-:mod:`repro.control`.  Once per tick it samples the actuators it was
-bound to — the admission gate's shed counts, the circuit breaker's
-state — plus the owner's backlog depth, folds them into a
-:class:`~repro.control.controllers.SignalWindow`, drives the pure
-controllers of :mod:`repro.control.controllers`, and applies whatever
-actions they return:
-
-======================  ==========================================
-controller              actuator
-======================  ==========================================
-``admission``           :meth:`AdmissionGate.update_policy`
-                        (``rate``, ``reserve``)
-``backoff``             a ``retry_setter`` callback receiving
-                        ``RetryPolicy.scaled(scale)``
-======================  ==========================================
+:mod:`repro.control`.  Once per tick it samples the admission gate it
+was given — its shed counts — plus the owner's backlog depth, folds
+them into a :class:`~repro.control.controllers.SignalWindow`, drives
+the pure AIMD controller
+(:func:`~repro.control.controllers.admission_step`), and applies the
+actions it returns through :meth:`AdmissionGate.update_policy`
+(``rate``, ``reserve``).
 
 Every adjustment is appended to an in-memory **decision log** — tick
 number, controller, parameter, old/new value, reason, and nothing
@@ -33,16 +25,10 @@ import json
 import math
 import os
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..obs.events import emit
-from .controllers import (
-    AdmissionState,
-    BackoffState,
-    SignalWindow,
-    admission_step,
-    backoff_step,
-)
+from .controllers import AdmissionState, SignalWindow, admission_step
 from .policy import ControlPolicy
 
 __all__ = ["ControlPlane"]
@@ -59,20 +45,22 @@ class ControlPlane:
         observer: optional :class:`~repro.obs.events.Observer`
             receiving ``control`` events (the owner's configured
             observer).
+        gate: the :class:`~repro.resilience.gate.AdmissionGate` to
+            tune; its current policy seeds the AIMD state, and its shed
+            counts from now on are the window's shed signals.
 
-    Lifecycle: the owner (fabric or simulator) builds the plane when its
-    config carries a ``control`` policy, :meth:`bind`\\ s
-    whichever actuators it built, then calls :meth:`maybe_tick` once
-    per service opportunity (submission / slot) on the submitting
-    thread.  Only bound actuators are controlled; everything else is
-    left alone — a fabric without an admission gate simply never runs
-    the AIMD loop.
+    Lifecycle: the owner (fabric or simulator) builds the plane, with
+    its gate, when its config carries a ``control`` policy, then calls
+    :meth:`maybe_tick` once per service opportunity (submission / slot)
+    on the submitting thread.  A plane without a gate still ticks but
+    never runs the AIMD loop.
     """
 
     def __init__(
         self,
         policy: Optional[ControlPolicy] = None,
         observer: Optional[object] = None,
+        gate=None,
     ):
         self.policy = policy if policy is not None else ControlPolicy()
         self.observer = observer
@@ -81,47 +69,14 @@ class ControlPlane:
         self.window = SignalWindow()
         self._events_since_tick = 0
         self._decisions: List[Dict[str, object]] = []
-        # Actuators (None until bind()).
-        self._gate = None
+        self._gate = gate
         # The gate's (high, low) shed totals at the last sample, and
         # the per-tick differences of the last ``window_ticks`` ticks.
         self._shed_seen = (0, 0)
         self._shed_ticks: deque = deque(maxlen=self.policy.window_ticks)
-        self._breaker = None
-        self._retry_base = None
-        self._retry_setter: Optional[Callable] = None
-        # Controller states (None until the matching actuator binds).
+        # The AIMD state (None without a gate).
         self._admission: Optional[AdmissionState] = None
-        self._backoff: Optional[BackoffState] = None
-
-    # -- wiring ----------------------------------------------------------
-    def bind(
-        self,
-        gate=None,
-        breaker=None,
-        retry_policy=None,
-        retry_setter: Optional[Callable] = None,
-    ) -> None:
-        """Attach the actuators this plane controls.
-
-        Args:
-            gate: an :class:`~repro.resilience.gate.AdmissionGate`; its
-                current policy seeds the AIMD state, and its shed counts
-                from now on are the window's shed signals.
-            breaker: a
-                :class:`~repro.resilience.breaker.CircuitBreaker`
-                sampled (never driven) for HALF_OPEN at tick time.
-            retry_policy: the base
-                :class:`~repro.faults.healing.RetryPolicy` backoff
-                scaling starts from.
-            retry_setter: callback receiving the scaled policy whenever
-                the backoff loop changes scale.
-
-        May be called more than once; each call overwrites only the
-        actuators it names.
-        """
         if gate is not None:
-            self._gate = gate
             self._shed_seen = self._gate_sheds()
             burst = gate.policy.burst
             cap = burst - 1.0 if math.isfinite(burst) else math.inf
@@ -130,15 +85,6 @@ class ControlPlane:
                 reserve=gate.policy.reserve,
                 reserve_cap=cap,
             )
-        if breaker is not None:
-            self._breaker = breaker
-        if retry_policy is not None:
-            self._retry_base = retry_policy
-        if retry_setter is not None:
-            self._retry_setter = retry_setter
-        if self._retry_base is not None and self._retry_setter is not None:
-            if self._backoff is None:
-                self._backoff = BackoffState(scale=1.0)
 
     # -- the tick loop ---------------------------------------------------
     def maybe_tick(self, queue_depth: int = 0) -> bool:
@@ -156,7 +102,7 @@ class ControlPlane:
         return True
 
     def _gate_sheds(self):
-        """The bound gate's shed totals as ``(priority > 0, the rest)``."""
+        """The gate's shed totals as ``(priority > 0, the rest)``."""
         gate = self._gate
         high = sum(c for p, c in gate.shed_by_priority.items() if p > 0)
         return high, gate.shed - high
@@ -164,11 +110,10 @@ class ControlPlane:
     def tick(self, queue_depth: int = 0) -> None:
         """Run one control tick: sample, window, decide, actuate.
 
-        The gate's shed counts and the breaker state are sampled
-        synchronously on the calling thread, so the resulting window,
-        and therefore every decision, is replayable.  Sheds are flows
-        (summed over the window); ``queue_depth`` and the breaker state
-        are levels (this tick's sample).
+        The gate's shed counts are sampled synchronously on the calling
+        thread, so the resulting window, and therefore every decision,
+        is replayable.  Sheds are flows (summed over the window);
+        ``queue_depth`` is a level (this tick's sample).
         """
         shed = (0, 0)
         if self._gate is not None:
@@ -180,10 +125,6 @@ class ControlPlane:
             shed_high=sum(tick[0] for tick in self._shed_ticks),
             shed_low=sum(tick[1] for tick in self._shed_ticks),
             queue_depth=queue_depth,
-            breaker_half_open=(
-                self._breaker is not None
-                and self._breaker.state == "half_open"
-            ),
         )
         self.tick_count += 1
         emit(self.observer, "control", "tick", tick=self.tick_count)
@@ -196,13 +137,6 @@ class ControlPlane:
                 self._gate.update_policy(
                     rate=self._admission.rate, reserve=self._admission.reserve
                 )
-                self._record(actions)
-        if self._backoff is not None:
-            self._backoff, actions = backoff_step(
-                self.policy, window, self._backoff
-            )
-            if actions:
-                self._retry_setter(self._retry_base.scaled(self._backoff.scale))
                 self._record(actions)
 
     def _record(self, actions) -> None:

@@ -1,10 +1,10 @@
 """The one control-plane configuration object.
 
 :class:`ControlPolicy` bounds every closed-loop adjustment the control
-plane (:mod:`repro.control.plane`) is allowed to make.  The controllers
-themselves are pure functions; the policy is the *envelope* they act
-within — AIMD floor/ceiling on the admission refill rate and the
-backoff scale used while the circuit breaker is probing.
+plane (:mod:`repro.control.plane`) is allowed to make.  The controller
+itself is a pure function; the policy is the *envelope* it acts
+within — AIMD floor/ceiling on the admission refill rate, the reserve
+cap and the tick cadence.
 
 Every bound is validated at construction, and every validation error
 names the offending field and its accepted range, so a mistyped
@@ -46,10 +46,6 @@ class ControlPolicy:
             (multiplicative decrease).
         backlog_low: queue depth at/below which the system is
             considered drained (probing up is safe).
-        half_open_backoff_scale: factor (>= 1) applied to healing
-            retry backoff while the circuit breaker is HALF_OPEN, so
-            probe traffic paces itself instead of hammering a
-            recovering plane.
     """
 
     tick_frames: int = 1
@@ -62,7 +58,6 @@ class ControlPolicy:
     reserve_max: float = 4.0
     backlog_high: float = 24.0
     backlog_low: float = 4.0
-    half_open_backoff_scale: float = 2.0
 
     def __post_init__(self):
         if self.tick_frames < 1:
@@ -110,9 +105,4 @@ class ControlPolicy:
             raise ValueError(
                 f"backlog_high ({self.backlog_high}) must be >= "
                 f"backlog_low ({self.backlog_low})"
-            )
-        if self.half_open_backoff_scale < 1.0:
-            raise ValueError(
-                "half_open_backoff_scale must be >= 1, got "
-                f"{self.half_open_backoff_scale}"
             )

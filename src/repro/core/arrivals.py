@@ -24,8 +24,8 @@ When the config carries an admission policy, an
 :class:`~repro.resilience.gate.AdmissionGate` admits or sheds each
 request *at arrival* (the gate ticks once per slot; shed requests are
 counted in :attr:`QueueingReport.shed` and never enter the backlog).
-Every other resilience setting (``deadline_ms``, ``breaker``,
-``snapshot_path``, and the fault plan's failover) acts on the fabric.
+Every other resilience setting (``deadline_ms``, ``snapshot_path``,
+and the fault plan's failover) acts on the fabric.
 """
 
 from __future__ import annotations
@@ -220,8 +220,8 @@ class QueueingSimulator:
     slot's frame is served by one
     :class:`~repro.core.fabric.MulticastFabric` (:attr:`fabric`) built
     from the config minus ``admission`` and ``control``, so
-    verification, ``deadline_ms``, ``breaker``, ``snapshot_path`` and a
-    fault plan's failover to the standby act as in a fabric session.
+    verification, ``deadline_ms``, ``snapshot_path`` and a fault plan's
+    failover to the standby act as in a fabric session.
     Terminals a frame still loses are re-queued as a reduced request for
     a later slot, bounded by ``max_requeues``.
 
@@ -230,7 +230,7 @@ class QueueingSimulator:
     each request the slot it arrives (queue depth = current backlog).
     A ``control`` policy runs a
     :class:`~repro.control.plane.ControlPlane` that ticks at the end of
-    every slot, retuning the gate and the fabric's retry backoff (see
+    every slot, retuning the gate's rate and reserve (see
     ``docs/control_plane.md``).
 
     Single-threaded: :meth:`run` serves every slot on the calling
@@ -254,17 +254,12 @@ class QueueingSimulator:
             )
         if max_requeues < 0:
             raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
-        self.control = (
-            None
-            if cfg.control is None
-            else ControlPlane(cfg.control, observer=cfg.observer)
-        )
         self.n = cfg.n
         self.policy = policy
         self.observer = cfg.observer
         self.max_slots = max_slots
         self.max_requeues = max_requeues
-        self.fabric = fabric = MulticastFabric(
+        self.fabric = MulticastFabric(
             replace(cfg, admission=None, control=None),
             retry_policy=retry_policy,
         )
@@ -273,13 +268,13 @@ class QueueingSimulator:
             if cfg.admission is None
             else AdmissionGate(cfg.admission, observer=cfg.observer)
         )
-        if self.control is not None:
-            self.control.bind(
-                gate=self.gate,
-                breaker=fabric.breaker,
-                retry_policy=fabric.retry_policy,
-                retry_setter=lambda p: setattr(fabric, "retry_policy", p),
+        self.control = (
+            None
+            if cfg.control is None
+            else ControlPlane(
+                cfg.control, observer=cfg.observer, gate=self.gate
             )
+        )
 
     def _pack_frame(self, backlog: List[Arrival]) -> List[int]:
         """Pick a conflict-free subset of the backlog (greedy); returns

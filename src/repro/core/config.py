@@ -72,25 +72,19 @@ class NetworkConfig:
             :class:`~repro.resilience.gate.AdmissionGate` in front of
             the network, shedding lowest-priority frames first under
             overload.
-        breaker: optional
-            :class:`~repro.resilience.breaker.BreakerPolicy` — fabric
-            sessions with a fault plan then run a
-            :class:`~repro.resilience.breaker.CircuitBreaker` over the
-            primary plane, short-circuiting it to the standby instead
-            of burning retries once it trips.
         control: optional
             :class:`~repro.control.policy.ControlPolicy` — the session
             facades then run a
             :class:`~repro.control.plane.ControlPlane` that retunes
-            the admission rate (AIMD) and retry backoff from the
-            observed event stream, one deterministic
-            tick per submission / slot.
+            the admission rate (AIMD) and reserve from the gate's shed
+            counts and the backlog, one deterministic tick per
+            submission / slot.
         snapshot_path: optional filesystem path —
             :meth:`~repro.core.fabric.MulticastFabric.close` then
             writes a :class:`~repro.resilience.snapshot.FabricSnapshot`
             there, and a fabric constructed with the same path
-            warm-restores from it (cached plans recompile, health and
-            breaker state carry over).  A missing file is a cold
+            warm-restores from it (cached plans recompile, health
+            state carries over).  A missing file is a cold
             start, not an error.
     """
 
@@ -102,7 +96,6 @@ class NetworkConfig:
     fault_plan: Optional[object] = None
     deadline_ms: Optional[float] = None
     admission: Optional[object] = None
-    breaker: Optional[object] = None
     control: Optional[object] = None
     snapshot_path: Optional[str] = None
 
@@ -152,14 +145,7 @@ class NetworkConfig:
                 "admission must be an AdmissionPolicy-like object "
                 f"(with a 'rate'), got {type(self.admission).__name__}"
             )
-        if self.breaker is not None and not hasattr(
-            self.breaker, "failure_threshold"
-        ):
-            raise ValueError(
-                "breaker must be a BreakerPolicy-like object (with a "
-                f"'failure_threshold'), got {type(self.breaker).__name__}"
-            )
-        # Duck-typed like admission/breaker: importing repro.control
+        # Duck-typed like admission: importing repro.control
         # here would create a core <-> control import cycle.
         if self.control is not None and not hasattr(
             self.control, "tick_frames"

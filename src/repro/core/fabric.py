@@ -16,12 +16,11 @@ When the config carries resilience settings the fabric also runs the
 overload-serving layer (:mod:`repro.resilience`): an
 :class:`~repro.resilience.gate.AdmissionGate` in front of ``submit``
 (shed frames return a :class:`~repro.resilience.gate.ShedFrame`, never
-touch the network), a per-frame
+touch the network) and a per-frame
 :class:`~repro.resilience.budget.DeadlineBudget` carried through the
-healing retries, and a :class:`~repro.resilience.breaker.CircuitBreaker`
-over the primary (faulted) plane that short-circuits it to the standby
-— and forces a :class:`~repro.faults.health.HealthTracker` quarantine —
-once it trips.
+healing retries.  With a fault plan, one
+:class:`~repro.faults.health.HealthTracker` decides per frame whether
+the primary (faulted) plane serves or the fault-free standby does.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from ..errors import RoutingInvariantError
 from ..faults import healing
 from ..faults.health import HealthTracker
 from ..obs.events import emit
-from ..resilience.breaker import CircuitBreaker
 from ..resilience.budget import DeadlineBudget
 from ..resilience.gate import AdmissionGate, ShedFrame
 from ..resilience.snapshot import FabricSnapshot
@@ -76,8 +74,6 @@ class FabricStats:
             routed; not counted in ``frames``).
         deadline_expired_frames: frames whose healing loop was cut
             short by the deadline budget.
-        short_circuits: frames diverted to the standby plane by an
-            open circuit breaker (counted in ``standby_frames`` too).
     """
 
     frames: int = 0
@@ -96,7 +92,6 @@ class FabricStats:
     standby_frames: int = 0
     shed_frames: int = 0
     deadline_expired_frames: int = 0
-    short_circuits: int = 0
 
     @property
     def mean_fanout(self) -> float:
@@ -138,17 +133,15 @@ class MulticastFabric:
 
     Resilience settings live on the config: ``admission`` installs an
     :class:`~repro.resilience.gate.AdmissionGate` (overloaded submits
-    return a :class:`~repro.resilience.gate.ShedFrame`), ``deadline_ms``
-    gives every frame a
-    :class:`~repro.resilience.budget.DeadlineBudget`, and ``breaker``
-    (on fault-aware sessions) puts a
-    :class:`~repro.resilience.breaker.CircuitBreaker` over the primary
-    plane.  All three default to off and cost nothing when unset.
+    return a :class:`~repro.resilience.gate.ShedFrame`) and
+    ``deadline_ms`` gives every frame a
+    :class:`~repro.resilience.budget.DeadlineBudget`.  Both default to
+    off and cost nothing when unset.
 
     With ``control`` on the config, a
     :class:`~repro.control.plane.ControlPlane` samples the fabric's
-    gate and breaker and retunes the bound actuators (admission rate
-    and reserve, retry backoff) once per submission tick; decisions are
+    gate and retunes its admission rate and reserve once per
+    submission tick; decisions are
     logged on :attr:`MulticastFabric.control` and
     emitted as ``control`` events.
     With ``snapshot_path``, :meth:`close` writes a warm-restart
@@ -183,11 +176,6 @@ class MulticastFabric:
         health=None,
     ):
         cfg = _resolve_config(n, observer=observer)
-        self.control = (
-            None
-            if cfg.control is None
-            else ControlPlane(cfg.control, observer=cfg.observer)
-        )
         self.config = cfg
         self.network = build_network(cfg)
         self.n = cfg.n
@@ -202,24 +190,20 @@ class MulticastFabric:
             if cfg.admission is None
             else AdmissionGate(cfg.admission, observer=cfg.observer)
         )
+        self.control = (
+            None
+            if cfg.control is None
+            else ControlPlane(
+                cfg.control, observer=cfg.observer, gate=self.gate
+            )
+        )
         self.retry_policy = retry_policy
-        self.health = self.standby = self.breaker = None
+        self.health = self.standby = None
         if cfg.fault_plan is not None and not cfg.fault_plan.is_empty:
             if retry_policy is None:
                 self.retry_policy = healing.RetryPolicy()
             self.health = health if health is not None else HealthTracker()
             self.standby = build_network(replace(cfg, fault_plan=None))
-            if cfg.breaker is not None:
-                self.breaker = CircuitBreaker(
-                    cfg.breaker, scope="primary", observer=cfg.observer
-                )
-        if self.control is not None:
-            self.control.bind(
-                gate=self.gate,
-                breaker=self.breaker,
-                retry_policy=self.retry_policy,
-                retry_setter=lambda p: setattr(self, "retry_policy", p),
-            )
         self.snapshot_path = cfg.snapshot_path
         self._closed = False
         if self.snapshot_path is not None and os.path.exists(
@@ -268,11 +252,7 @@ class MulticastFabric:
         if self.health is None:
             return self._submit_verified(assignment, self.network)
         if self.health.use_primary:
-            if self.breaker is None or self.breaker.allow():
-                return self._submit_healed(assignment)
-            # Open breaker: the primary is short-circuited to the
-            # standby without paying a (likely doomed) healed pass.
-            self.stats.short_circuits += 1
+            return self._submit_healed(assignment)
         result = self._submit_verified(assignment, self.standby)
         self.stats.standby_frames += 1
         self._record_health(False)
@@ -304,7 +284,6 @@ class MulticastFabric:
                 if self.deadline_ms is None
                 else DeadlineBudget(self.deadline_ms)
             ),
-            breaker=self.breaker,
         )
         self._account(assignment, result, result.verification.deliveries)
         self.stats.recovered_terminals += len(result.recovered)
@@ -320,17 +299,6 @@ class MulticastFabric:
         if result.deadline_expired:
             self.stats.deadline_expired_frames += 1
         self._record_health(result.degraded)
-        if self.breaker is not None:
-            was_open = self.breaker.is_open
-            self.breaker.record(not result.degraded)
-            if self.breaker.is_open and not was_open:
-                # A tripped breaker escalates straight to quarantine so
-                # traffic drains on the standby during the cooldown.
-                before = self.health.state
-                after = self.health.quarantine()
-                self.stats.quarantines = self.health.quarantines
-                if after is not before:
-                    emit(self.observer, "fabric", "quarantined")
         return result
 
     def _account(self, assignment, result, deliveries: int) -> None:
@@ -389,13 +357,13 @@ class MulticastFabric:
     def snapshot(self):
         """Capture a warm-restart
         :class:`~repro.resilience.snapshot.FabricSnapshot` — the plan
-        cache's assignments plus health and breaker state."""
+        cache's assignments plus health state."""
         return FabricSnapshot.capture(self)
 
     def restore(self, snap) -> int:
         """Adopt a :class:`~repro.resilience.snapshot.FabricSnapshot`:
         recompile its cached assignments on *this* fabric's compiler and
-        restore health/breaker state.  Returns the number of plans
+        restore health state.  Returns the number of plans
         warmed."""
         return snap.restore(self)
 

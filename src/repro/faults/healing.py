@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,26 +109,6 @@ class RetryPolicy:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return delay
 
-    def scaled(self, factor: float) -> "RetryPolicy":
-        """A copy with backoff delays scaled by ``factor`` (>= 0).
-
-        Used by the control plane to pace healing retries while the
-        circuit breaker is HALF_OPEN: scaling ``base_delay_s`` (and the
-        ``max_delay_s`` cap, when finite) stretches every delay of the
-        schedule by the same factor while retries, jitter and seed —
-        and therefore the *decisions* of a seeded campaign — stay
-        untouched.  ``factor == 1`` returns ``self``.
-        """
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        if factor == 1.0:
-            return self
-        max_delay = self.max_delay_s
-        if math.isfinite(max_delay):
-            max_delay = max_delay * factor
-        return replace(
-            self, base_delay_s=self.base_delay_s * factor, max_delay_s=max_delay
-        )
 
 
 @dataclass(frozen=True)
@@ -176,9 +156,6 @@ class DegradedResult:
             because the caller's
             :class:`~repro.resilience.budget.DeadlineBudget` ran out
             (the remaining failed terminals are then lost).
-        short_circuited: True when the healing loop stopped early
-            because the caller's circuit breaker denied further repair
-            passes.
     """
 
     assignment: MulticastAssignment
@@ -192,7 +169,6 @@ class DegradedResult:
     plan_cache_misses: int = 0
     verification: Optional[VerificationReport] = None
     deadline_expired: bool = False
-    short_circuited: bool = False
 
     def _with_status(self, status: str) -> Tuple[int, ...]:
         return tuple(
@@ -259,7 +235,6 @@ def route_with_healing(
     payloads=None,
     policy: Optional[RetryPolicy] = None,
     budget=None,
-    breaker=None,
 ) -> DegradedResult:
     """Route with post-route detection, bounded retries and rerouting.
 
@@ -277,11 +252,6 @@ def route_with_healing(
             passes stop (and the remaining terminals are accounted
             lost with ``deadline_expired=True``) once it is spent, and
             backoff sleeps are clamped so they never out-live it.
-        breaker: optional
-            :class:`~repro.resilience.breaker.CircuitBreaker` — an
-            open breaker stops further repair passes immediately
-            (``short_circuited=True``) instead of burning the retry
-            budget against a known-bad plane.
 
     Returns:
         A :class:`DegradedResult`; ``result.ok`` is True when every
@@ -321,9 +291,6 @@ def route_with_healing(
             if budget is not None and budget.expired:
                 outcome.deadline_expired = True
                 emit(observer, "faults.healing", "deadline_expired")
-                break
-            if breaker is not None and breaker.is_open:
-                outcome.short_circuited = True
                 break
             retry += 1
             outcome.attempts += 1

@@ -113,19 +113,6 @@ class HealthTracker:
                     self.readmissions += 1
         return self.state
 
-    def quarantine(self) -> PlaneState:
-        """Force the plane into quarantine, regardless of streaks.
-
-        The escalation hook for external verdicts — a tripping
-        :class:`~repro.resilience.breaker.CircuitBreaker` calls this so
-        the drain / probe / re-admit machinery takes over immediately
-        instead of waiting out ``fail_threshold`` more degraded frames.
-        A no-op while already quarantined.
-        """
-        if self.state is not PlaneState.QUARANTINED:
-            self._quarantine()
-        return self.state
-
     def snapshot(self) -> Dict[str, object]:
         """The tracker's restorable state as plain JSON types."""
         return {

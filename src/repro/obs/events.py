@@ -77,9 +77,6 @@ class Event:
     ``tokens`` (bucket level after the decision, -1 when unlimited),
     ``queue_depth``.
 
-    ``resilience.breaker`` — ``breaker_open`` / ``breaker_half_open`` /
-    ``breaker_closed`` and ``short_circuit``: ``scope``.
-
     ``resilience.snapshot`` — ``snapshot_saved`` / ``snapshot_restored``:
     ``plans``.
 

@@ -85,7 +85,6 @@ def _by_kind(states: Dict[str, int]):
 
 _PLANE_STATES = {"readmitted": 0, "probation": 1, "quarantined": 2}
 _REPLICA_STATES = {"up": 0, "draining": 1, "down": 2}
-_BREAKER_STATES = {"breaker_closed": 0, "breaker_half_open": 1, "breaker_open": 2}
 
 _DONE = _on("brsmn", "frame_done")
 _LEVEL = (("brsmn", "level"), ("fastplan", "level"))
@@ -95,7 +94,6 @@ _CACHE = _on(
 _QUEUE = _on("arrivals", "queue_depth")
 _HEAL = "faults.healing"
 _GATE = "resilience.gate"
-_BREAKER = _on("resilience.breaker", *_BREAKER_STATES)
 _ADJUST = _on("control", "adjust")
 
 
@@ -178,16 +176,6 @@ FAMILIES: Tuple[Family, ...] = (
     Family("repro_resilience_deadline_expired_total", "counter",
            "Healing loops cut short by an expired deadline budget.",
            _on(_HEAL, "deadline_expired")),
-    Family("repro_resilience_breaker_transitions_total", "counter",
-           "Circuit-breaker state transitions, by destination state.",
-           _BREAKER, 1, ("state",),
-           sources={"state": lambda e: e.kind[len("breaker_"):]}),
-    Family("repro_resilience_breaker_state", "gauge",
-           "Circuit-breaker state (0 closed, 1 half_open, 2 open).",
-           _BREAKER, _by_kind(_BREAKER_STATES), ("scope",)),
-    Family("repro_resilience_short_circuits_total", "counter",
-           "Frames short-circuited away from an open breaker's plane.",
-           _on("resilience.breaker", "short_circuit")),
     Family("repro_resilience_snapshot_total", "counter",
            "Warm-restart snapshots taken/restored, by action.",
            _on("resilience.snapshot", "snapshot_saved", "snapshot_restored"),
@@ -203,9 +191,6 @@ FAMILIES: Tuple[Family, ...] = (
                    "Admission refill rate currently set by the AIMD loop."),
     _control_gauge("repro_control_admission_reserve", "reserve",
                    "Priority token reserve currently set by the AIMD loop."),
-    _control_gauge("repro_control_backoff_scale", "backoff_scale",
-                   "Healing retry-backoff scale currently applied "
-                   "(1 = base policy)."),
     Family("repro_cluster_frames_total", "counter",
            "Frames served per cluster replica (including requeued "
            "and spilled-over frames, attributed to the serving "

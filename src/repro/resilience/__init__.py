@@ -1,4 +1,4 @@
-"""Overload resilience: deadlines, admission, breakers, warm restart.
+"""Overload resilience: deadlines, admission, warm restart.
 
 The routing stack below this package answers "is the frame
 realisable?"; this package answers "what happens when too many frames
@@ -14,24 +14,22 @@ the serving-layer concerns that govern throughput under contention:
   :class:`AdmissionPolicy`, the deterministic token-bucket +
   queue-watermark controller that sheds lowest-priority load before it
   grows the backlog (returning :class:`ShedFrame` markers);
-* :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker` /
-  :class:`BreakerPolicy`, the closed -> open -> half-open state machine
-  that short-circuits a persistently bad plane instead of burning
-  retries, coupled to
-  :class:`~repro.faults.health.HealthTracker` quarantine;
 * :mod:`~repro.resilience.snapshot` — :class:`FabricSnapshot`, the
-  JSON warm-restart capture of cached plan assignments, plane health
-  and breaker state.
+  JSON warm-restart capture of cached plan assignments and plane
+  health.
+
+Whether a faulted primary plane serves or drains on the standby is
+decided by one state machine,
+:class:`~repro.faults.health.HealthTracker`.
 
 Everything is wired through
-:class:`~repro.core.config.NetworkConfig(deadline_ms=..., admission=...,
-breaker=...)`, observable as ``resilience.*`` events /
+:class:`~repro.core.config.NetworkConfig(deadline_ms=..., admission=...)`,
+observable as ``resilience.*`` events /
 ``repro_resilience_*`` metric families, and drivable from the CLI
 (``repro chaos --overload``).  Semantics are documented in
 ``docs/resilience.md``.
 """
 
-from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from .budget import DeadlineBudget
 from .gate import AdmissionGate, AdmissionPolicy, ShedFrame
 from .snapshot import FabricSnapshot
@@ -39,9 +37,6 @@ from .snapshot import FabricSnapshot
 __all__ = [
     "AdmissionGate",
     "AdmissionPolicy",
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
     "DeadlineBudget",
     "FabricSnapshot",
     "ShedFrame",

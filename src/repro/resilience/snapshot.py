@@ -17,7 +17,6 @@ both survive the restart as one JSON document:
   assignment, possibly different plan).
 * **health tracker** — the primary plane's quarantine state machine,
   so a plane quarantined before the restart stays drained after it.
-* **circuit breaker** — the breaker state, when the fabric runs one.
 
 Round trip::
 
@@ -40,12 +39,12 @@ from ..obs.events import emit
 
 __all__ = ["FabricSnapshot"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
 class FabricSnapshot:
-    """Restorable state of one fabric: plans, plane health, breaker.
+    """Restorable state of one fabric: plans and plane health.
 
     Attributes:
         n: network size the snapshot was taken from (restore refuses a
@@ -56,18 +55,15 @@ class FabricSnapshot:
             ``{input: [outputs]}`` mapping with string keys (JSON).
         health: :meth:`~repro.faults.health.HealthTracker.snapshot`
             state, or ``None`` when the fabric tracked no plane health.
-        breaker: :meth:`~repro.resilience.breaker.CircuitBreaker.snapshot`
-            state, or ``None``.
     """
 
     n: int
     assignments: List[Dict[str, List[int]]] = field(default_factory=list)
     health: Optional[Dict[str, object]] = None
-    breaker: Optional[Dict[str, object]] = None
 
     @classmethod
     def capture(cls, fabric) -> "FabricSnapshot":
-        """Snapshot a fabric's plan cache, health and breaker state."""
+        """Snapshot a fabric's plan cache and health state."""
         cache = getattr(fabric.network, "plan_cache", None)
         assignments: List[Dict[str, List[int]]] = []
         if cache is not None:
@@ -79,17 +75,7 @@ class FabricSnapshot:
                     }
                 )
         health = fabric.health.snapshot() if fabric.health is not None else None
-        breaker = (
-            fabric.breaker.snapshot()
-            if getattr(fabric, "breaker", None) is not None
-            else None
-        )
-        snap = cls(
-            n=fabric.n,
-            assignments=assignments,
-            health=health,
-            breaker=breaker,
-        )
+        snap = cls(n=fabric.n, assignments=assignments, health=health)
         emit(fabric.observer, "resilience.snapshot", "snapshot_saved",
              plans=len(assignments))
         return snap
@@ -101,7 +87,7 @@ class FabricSnapshot:
         cache in one batched call — through the fabric's own compiler,
         so a different fault plan yields correctly different plans —
         inserting them in snapshot order, and re-adopts the
-        health-tracker and breaker states.  Returns the number of plans
+        health-tracker state.  Returns the number of plans
         compiled (0 on a reference-engine fabric, which has no cache).
 
         Raises:
@@ -123,11 +109,6 @@ class FabricSnapshot:
             )
         if self.health is not None and fabric.health is not None:
             fabric.health.restore(self.health)
-        if (
-            self.breaker is not None
-            and getattr(fabric, "breaker", None) is not None
-        ):
-            fabric.breaker.restore(self.breaker)
         emit(fabric.observer, "resilience.snapshot", "snapshot_restored",
              plans=warmed)
         return warmed
@@ -141,7 +122,6 @@ class FabricSnapshot:
                 "n": self.n,
                 "assignments": self.assignments,
                 "health": self.health,
-                "breaker": self.breaker,
             },
             indent=2,
         )
@@ -163,7 +143,6 @@ class FabricSnapshot:
                 for m in doc.get("assignments", [])
             ],
             health=doc.get("health"),
-            breaker=doc.get("breaker"),
         )
 
     def save(self, path: str) -> None:

@@ -2,11 +2,9 @@
 
 from repro.control import (
     AdmissionState,
-    BackoffState,
     ControlPolicy,
     SignalWindow,
     admission_step,
-    backoff_step,
 )
 
 POLICY = ControlPolicy(
@@ -111,28 +109,3 @@ class TestAdmissionStep:
         assert admission_step(POLICY, w, state) == admission_step(
             POLICY, w, state
         )
-
-
-class TestBackoffStep:
-    def test_half_open_scales_up(self):
-        new, actions = backoff_step(
-            POLICY, window(breaker_half_open=True), BackoffState(scale=1.0)
-        )
-        assert new.scale == POLICY.half_open_backoff_scale
-        assert [a.reason for a in actions] == ["breaker_half_open"]
-
-    def test_recovery_restores_unity(self):
-        new, actions = backoff_step(
-            POLICY, window(), BackoffState(scale=2.0)
-        )
-        assert new.scale == 1.0
-        assert [a.reason for a in actions] == ["breaker_recovered"]
-
-    def test_stable_states_are_silent(self):
-        for half_open, scale in ((False, 1.0), (True, 2.0)):
-            new, actions = backoff_step(
-                POLICY,
-                window(breaker_half_open=half_open),
-                BackoffState(scale=scale),
-            )
-            assert new.scale == scale and actions == []

@@ -1,4 +1,4 @@
-"""ControlPlane: signal windows, binding, actuation, events, export."""
+"""ControlPlane: signal windows, the gate it tunes, events, export."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.core.arrivals import QueueingSimulator
 from repro.core.fabric import MulticastFabric
 from repro.obs import MetricsObserver, Observer
 from repro.resilience import AdmissionGate, AdmissionPolicy
-from repro.faults import RetryPolicy
 
 
 class RecordingObserver(Observer):
@@ -36,11 +35,10 @@ def shed(gate, priority=1, count=1):
         gate.admit(priority=priority)
 
 
-def bound_plane(policy=None, **kwargs):
-    """A plane bound to a fresh gate; returns ``(plane, gate)``."""
+def gated_plane(policy=None, **kwargs):
+    """A plane tuning a fresh gate; returns ``(plane, gate)``."""
     gate = make_gate()
-    plane = ControlPlane(policy or ControlPolicy(), **kwargs)
-    plane.bind(gate=gate)
+    plane = ControlPlane(policy or ControlPolicy(), gate=gate, **kwargs)
     return plane, gate
 
 
@@ -49,7 +47,7 @@ class TestSignalWindow:
         assert ControlPlane(ControlPolicy()).window == SignalWindow()
 
     def test_sheds_split_by_priority(self):
-        plane, gate = bound_plane()
+        plane, gate = gated_plane()
         shed(gate, priority=2)
         shed(gate, priority=1)
         shed(gate, priority=0, count=2)
@@ -60,7 +58,7 @@ class TestSignalWindow:
         )
 
     def test_window_slides(self):
-        plane, gate = bound_plane(ControlPolicy(window_ticks=2))
+        plane, gate = gated_plane(ControlPolicy(window_ticks=2))
         for depth in (1, 2, 3):
             shed(gate)
             plane.tick(queue_depth=depth)
@@ -69,30 +67,21 @@ class TestSignalWindow:
         assert w.queue_depth == 3  # levels come from the latest tick
 
     def test_levels_not_summed(self):
-        class Breaker:
-            state = "half_open"
-
         plane = ControlPlane(ControlPolicy())
-        plane.bind(breaker=Breaker())
         plane.tick(queue_depth=10)
-        assert plane.window.breaker_half_open
-        Breaker.state = "closed"
+        assert plane.window.queue_depth == 10
         plane.tick(queue_depth=0)
         assert plane.window == SignalWindow()
 
-    def test_rebinding_resets_the_shed_baseline(self):
-        plane, first = bound_plane(ControlPolicy(window_ticks=1))
-        shed(first, count=3)
-        plane.tick()
-        assert plane.window.shed_high == 3
-        # The new gate has shed more than the old one: only its sheds
-        # after the bind may count, not the difference of the totals.
-        second = make_gate()
-        shed(second, count=5)
-        plane.bind(gate=second)
+    def test_sheds_before_construction_do_not_count(self):
+        # The gate has shed frames before the plane sees it: only its
+        # sheds after construction may count, not its running totals.
+        gate = make_gate()
+        shed(gate, count=5)
+        plane = ControlPlane(ControlPolicy(window_ticks=1), gate=gate)
         plane.tick()
         assert plane.window.shed_high == 0
-        shed(second, count=2)
+        shed(gate, count=2)
         plane.tick()
         assert plane.window.shed_high == 2
 
@@ -107,7 +96,7 @@ class TestSignalAggregator:
 
 
 class TestObserverChainUntouched:
-    """Control reads its bound actuators, never the observer chain."""
+    """Control reads its gate, never the observer chain."""
 
     @pytest.mark.parametrize(
         "observer", [None, MetricsObserver()], ids=["none", "metrics"]
@@ -163,7 +152,7 @@ class TestTickCadence:
 
 class TestGateActuation:
     def test_shed_high_raises_gate_rate_and_reserve(self):
-        plane, gate = bound_plane(ControlPolicy(rate_increase=0.5))
+        plane, gate = gated_plane(ControlPolicy(rate_increase=0.5))
         shed(gate)
         plane.tick(queue_depth=0)
         assert gate.policy.rate == 1.5
@@ -171,8 +160,7 @@ class TestGateActuation:
 
     def test_backlog_cuts_gate_rate(self):
         gate = make_gate(rate=4.0)
-        plane = ControlPlane(ControlPolicy(backlog_high=10.0))
-        plane.bind(gate=gate)
+        plane = ControlPlane(ControlPolicy(backlog_high=10.0), gate=gate)
         plane.tick(queue_depth=50)
         assert gate.policy.rate == 2.0
 
@@ -181,9 +169,8 @@ class TestGateActuation:
         # reserve_cap keeps every decided value applicable.
         gate = make_gate(burst=2.0)
         plane = ControlPlane(
-            ControlPolicy(reserve_step=5.0, reserve_max=100.0)
+            ControlPolicy(reserve_step=5.0, reserve_max=100.0), gate=gate
         )
-        plane.bind(gate=gate)
         for _ in range(4):
             shed(gate)
             plane.tick(queue_depth=0)
@@ -196,31 +183,9 @@ class TestGateActuation:
         assert plane.decision_log() == []
 
 
-class TestBackoffActuation:
-    def test_half_open_breaker_scales_retry_policy(self):
-        class HalfOpenBreaker:
-            state = "half_open"
-
-        applied = []
-        base = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0)
-        plane = ControlPlane(ControlPolicy(half_open_backoff_scale=2.0))
-        plane.bind(
-            breaker=HalfOpenBreaker(),
-            retry_policy=base,
-            retry_setter=applied.append,
-        )
-        plane.tick()
-        assert applied[-1].base_delay_s == pytest.approx(0.2)
-        assert applied[-1].max_delay_s == pytest.approx(2.0)
-
-        HalfOpenBreaker.state = "closed"
-        plane.tick()
-        assert applied[-1] is base  # scale 1.0 returns the base policy
-
-
 class TestDecisionLog:
     def make_logged_plane(self):
-        plane, gate = bound_plane()
+        plane, gate = gated_plane()
         shed(gate)
         plane.tick(queue_depth=0)
         return plane
@@ -249,7 +214,7 @@ class TestDecisionLog:
 
     def test_adjust_events_mirror_the_log(self):
         rec = RecordingObserver()
-        plane, gate = bound_plane(observer=rec)
+        plane, gate = gated_plane(observer=rec)
         shed(gate)
         plane.tick(queue_depth=0)
         adjusts = [e for e in rec.events if e.kind == "adjust"]
@@ -265,7 +230,7 @@ class TestDecisionLog:
 class TestControlMetrics:
     def test_metric_families_populated(self):
         metrics = MetricsObserver()
-        plane, gate = bound_plane(observer=metrics)
+        plane, gate = gated_plane(observer=metrics)
         shed(gate)
         plane.tick(queue_depth=0)
         doc = json.loads(metrics.registry.to_json())

@@ -10,7 +10,7 @@ from repro.core.arrivals import (
     poisson_arrivals,
 )
 from repro.faults import FaultPlan
-from repro.resilience import BreakerPolicy, FabricSnapshot
+from repro.resilience import FabricSnapshot
 
 
 class TestPoissonArrivals:
@@ -116,26 +116,24 @@ class TestServedThroughFabric:
         assert second.deliveries == first.deliveries
         assert sim.fabric.stats.deliveries == 2 * first.deliveries
 
-    def test_breaker_and_snapshot_path_take_effect(self, tmp_path):
+    def test_snapshot_path_takes_effect(self, tmp_path):
         path = tmp_path / "sim.json"
         cfg = NetworkConfig(
             16,
             engine="fast",
             fault_plan=FaultPlan.random(16, faults=2, seed=1),
-            breaker=BreakerPolicy(),
             snapshot_path=str(path),
         )
         arrivals = poisson_arrivals(16, rate=1.0, slots=10, seed=2)
         sim = QueueingSimulator(cfg)
-        assert sim.fabric.breaker is not None
         sim.run(arrivals)
         sim.close()
         snap = FabricSnapshot.load(str(path))
-        assert snap.assignments and snap.breaker is not None
+        assert snap.assignments and snap.health is not None
 
         warm = QueueingSimulator(cfg)
         try:
             assert len(warm.fabric.network.plan_cache) == len(snap.assignments)
-            assert warm.fabric.breaker.snapshot() == snap.breaker
+            assert warm.fabric.health.snapshot() == snap.health
         finally:
             warm.close()

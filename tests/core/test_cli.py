@@ -242,6 +242,8 @@ class TestUsageErrorsExit2:
             ["tags", "--n", "8", "--dests", "9"],
             ["tags", "--n", "8", "--dests", "a"],
             ["table2", "--sizes", "x"],
+            ["table2", "--sizes", "12"],
+            ["table2", "--sizes", "8,12"],
             ["structure", "--n", "12"],
             ["schedule", "--n", "12"],
         ],

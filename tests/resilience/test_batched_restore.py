@@ -115,7 +115,7 @@ def test_hand_written_document_with_duplicates():
     doc = json.dumps(
         {
             "kind": "fabric_snapshot",
-            "version": 1,
+            "version": 2,
             "n": 16,
             "assignments": [a, b, a, c, b, a],
         }

@@ -1,5 +1,5 @@
-"""MulticastFabric under the resilience layer: gate, deadline, breaker,
-and leak-safe close."""
+"""MulticastFabric under the resilience layer: gate, deadline and
+leak-safe close."""
 
 import random
 
@@ -8,7 +8,6 @@ import pytest
 from conftest import make_random_assignment
 from repro import (
     AdmissionPolicy,
-    BreakerPolicy,
     DeadlineBudget,
     MulticastFabric,
     NetworkConfig,
@@ -17,7 +16,6 @@ from repro import (
 )
 from repro.faults import FaultPlan
 from repro.faults.healing import route_with_healing
-from repro.resilience import CircuitBreaker
 
 
 def _frames(n, count, seed=0):
@@ -89,48 +87,6 @@ class TestDeadlineOnHealing:
         )
         assert time.monotonic() - t0 < 2.0
         net.close()
-
-    def test_open_breaker_short_circuits_the_retry_loop(self):
-        net = self._faulted_network()
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
-        breaker.record(False)
-        assert breaker.is_open
-        frame = _frames(16, 1, seed=6)[0]
-        result = route_with_healing(net, frame, breaker=breaker)
-        if result.lost:
-            assert result.short_circuited
-            assert result.attempts == 1
-        net.close()
-
-
-class TestBreakerOnFabric:
-    def test_tripped_breaker_quarantines_and_short_circuits(self):
-        plan = FaultPlan.random(16, faults=4, seed=7)
-        cfg = NetworkConfig(
-            16,
-            engine="fast",
-            fault_plan=plan,
-            breaker=BreakerPolicy(
-                failure_threshold=2, open_frames=3, half_open_probes=1
-            ),
-        )
-        fab = MulticastFabric(cfg, strict=False)
-        for f in _frames(16, 40, seed=8):
-            fab.submit(f)
-        assert fab.breaker.opens > 0
-        assert fab.stats.short_circuits > 0
-        assert fab.stats.quarantines > 0
-        # Short-circuited frames were served (on the standby), not lost.
-        assert fab.stats.standby_frames >= fab.stats.short_circuits
-        fab.close()
-
-    def test_faultless_fabric_has_no_breaker(self):
-        cfg = NetworkConfig(
-            16, engine="fast", breaker=BreakerPolicy()
-        )
-        fab = MulticastFabric(cfg)
-        assert fab.breaker is None  # breaker guards the fault plane only
-        fab.close()
 
 
 class TestDeadlineStats:

@@ -1,13 +1,12 @@
-"""FabricSnapshot: warm-restart round trips for plans, health, breaker."""
+"""FabricSnapshot: warm-restart round trips for plans and health."""
 
+import json
 import random
 
 import pytest
 
 from conftest import make_random_assignment
 from repro import (
-    BreakerPolicy,
-    BreakerState,
     FabricSnapshot,
     MulticastFabric,
     NetworkConfig,
@@ -71,46 +70,24 @@ class TestPlanCacheWarmth:
         assert fab2.restore(snap) == 0
 
 
-class TestHealthAndBreaker:
-    def _faulted_config(self):
+class TestHealth:
+    def test_quarantine_survives_restart(self):
         plan = FaultPlan.random(16, faults=4, seed=7)
-        return NetworkConfig(
-            16,
-            engine="fast",
-            fault_plan=plan,
-            breaker=BreakerPolicy(
-                failure_threshold=2, open_frames=3, half_open_probes=1
-            ),
-        )
-
-    def test_quarantine_and_breaker_survive_restart(self):
-        cfg = self._faulted_config()
+        cfg = NetworkConfig(16, engine="fast", fault_plan=plan)
         fab = MulticastFabric(cfg, strict=False)
         for f in _frames(16, 40, seed=4):
             fab.submit(f)
         assert fab.stats.quarantines > 0
         snap = fab.snapshot()
-        assert snap.health is not None and snap.breaker is not None
+        assert snap.health is not None
 
         fab2 = MulticastFabric(cfg, strict=False)
         assert fab2.health.state is PlaneState.HEALTHY
         fab2.restore(snap)
         assert fab2.health.state is fab.health.state
-        assert fab2.breaker.state is fab.breaker.state
-        assert fab2.breaker.opens == fab.breaker.opens
+        assert fab2.health.snapshot() == fab.health.snapshot()
         fab.close()
         fab2.close()
-
-    def test_breakerless_fabric_ignores_breaker_state(self):
-        plan = FaultPlan.random(16, faults=2, seed=1)
-        cfg = NetworkConfig(16, engine="fast", fault_plan=plan)
-        snap = FabricSnapshot(
-            n=16, breaker={"state": "open"}, health=None
-        )
-        fab = MulticastFabric(cfg, strict=False)
-        fab.restore(snap)  # no breaker attribute to restore into
-        assert fab.breaker is None
-        fab.close()
 
 
 class TestJsonFormat:
@@ -137,6 +114,11 @@ class TestJsonFormat:
             FabricSnapshot.from_json(
                 '{"kind": "fabric_snapshot", "version": 99, "n": 8}'
             )
+        # Version 1 carried breaker state; it is refused, not migrated.
+        doc = json.loads(FabricSnapshot(n=8).to_json())
+        doc.update(version=1, breaker=None)
+        with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+            FabricSnapshot.from_json(json.dumps(doc))
 
     def test_size_mismatch_refused(self):
         snap = FabricSnapshot(n=32)

@@ -18,9 +18,6 @@ STABLE_API = [
     "AdmissionPolicy",
     "BRSMN",
     "BinarySplittingNetwork",
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
     "ClusterConfig",
     "ClusterStats",
     "CompositeObserver",
