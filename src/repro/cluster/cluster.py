@@ -43,13 +43,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.multicast import assignment_fingerprint
 from ..errors import ReproError
 from ..obs.events import emit
+from ..resilience.gate import ShedFrame
 from .config import ClusterConfig
-from .replica import FabricReplica, ReplicaState, is_shed
+from .replica import FabricReplica, ReplicaState
 from .restart import RollingRestart
 from .router import ClusterRouter
 
@@ -60,9 +61,21 @@ class ClusterUnavailableError(ReproError, RuntimeError):
     """Raised when no alive replica remains to serve a frame."""
 
 
+def _summed(name: str) -> property:
+    def total(stats) -> int:
+        return sum(r.total(name) for r in stats.replicas)
+
+    return property(total, doc=f"``{name}`` summed over the replicas.")
+
+
 @dataclass
 class ClusterStats:
     """Aggregate statistics of one cluster session.
+
+    A live view: the per-frame counters are updated as frames are
+    served, and the terminal and plan-cache totals are read from the
+    replicas' :class:`~repro.core.fabric.FabricStats` each time they
+    are accessed (each replica adds the fabrics its restarts replaced).
 
     Attributes:
         frames: frames served by some replica.
@@ -82,22 +95,25 @@ class ClusterStats:
         kills: replicas crashed (scheduled or immediate).
         restarts: rolling-restart cycles completed.
         per_replica: replica index -> frames served.
+        replicas: the replicas the derived totals are summed over.
     """
 
     frames: int = 0
-    deliveries: int = 0
     shed_frames: int = 0
     requeues: int = 0
     spillovers: int = 0
-    degraded_frames: int = 0
-    lost_frames: int = 0
-    lost_terminals: int = 0
-    recovered_terminals: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
     kills: int = 0
     restarts: int = 0
     per_replica: Counter = field(default_factory=Counter)
+    replicas: Sequence = field(default=(), repr=False, compare=False)
+
+    deliveries = _summed("deliveries")
+    degraded_frames = _summed("degraded_frames")
+    lost_frames = _summed("lost_frames")
+    lost_terminals = _summed("lost_terminals")
+    recovered_terminals = _summed("recovered_terminals")
+    plan_cache_hits = _summed("plan_cache_hits")
+    plan_cache_misses = _summed("plan_cache_misses")
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -159,10 +175,11 @@ class FabricCluster:
                 strict=strict,
                 retry_policy=retry_policy,
                 health_factory=health_factory,
+                on_change=self.router.epoch.bump,
             )
             for i in range(config.replicas)
         ]
-        self.stats = ClusterStats()
+        self.stats = ClusterStats(replicas=self.replicas)
         self._frame_index = 0
         self._kills: Dict[int, List[int]] = {}
         self._restart = None
@@ -242,75 +259,56 @@ class FabricCluster:
                 f"no alive replica for frame {idx}"
             )
         home = order[0]
+        requeued = False
         # Scheduled kills land here — after placement, before service —
         # so the victim's in-flight frame exercises the requeue path.
-        for rid in self._kills.pop(idx, ()):
-            self.kill_replica(rid)
-        requeued = False
-        if not home.alive:
-            siblings = [r for r in order[1:] if r.alive]
-            if not siblings:
-                raise ClusterUnavailableError(
-                    f"frame {idx}: home replica {home.index} died and no "
-                    "sibling remains"
-                )
-            home = siblings[0]
-            requeued = True
-        result = home.submit(assignment, priority=priority)
-        served_by = home
+        # Nothing else can take a placed replica down.
+        if idx in self._kills:
+            for rid in self._kills.pop(idx):
+                self.kill_replica(rid)
+            if not home.alive:
+                siblings = [r for r in order[1:] if r.alive]
+                if not siblings:
+                    raise ClusterUnavailableError(
+                        f"frame {idx}: home replica {home.index} died and "
+                        "no sibling remains"
+                    )
+                home = siblings[0]
+                requeued = True
+        result = home.submit(assignment, priority)
         spilled = False
-        if is_shed(result) and self.config.spill_over:
-            for candidate in order:
-                if candidate is home or not candidate.alive:
-                    continue
-                retry = candidate.submit(assignment, priority=priority)
-                if not is_shed(retry):
-                    result, served_by, spilled = retry, candidate, True
-                    break
-        return self._account(assignment, result, served_by, requeued, spilled)
+        # A type test, not ``result.ok``: a DegradedResult with lost
+        # terminals was served (its siblings share its fault plan).
+        if isinstance(result, ShedFrame):
+            for candidate in order if self.config.spill_over else ():
+                if candidate is not home and candidate.alive:
+                    retry = candidate.submit(assignment, priority)
+                    if not isinstance(retry, ShedFrame):
+                        result, home, spilled = retry, candidate, True
+                        break
+            else:
+                self.stats.shed_frames += 1
+                self.stats.requeues += requeued
+                emit(self.observer, "cluster", "shed", replica=home.index)
+                return result
+        stats = self.stats
+        stats.frames += 1
+        stats.per_replica[home.index] += 1
+        if requeued:
+            stats.requeues += 1
+            emit(self.observer, "cluster", "requeued", replica=home.index)
+        elif spilled:
+            stats.spillovers += 1
+            emit(self.observer, "cluster", "spillover", replica=home.index)
+        elif self.observer is not None:
+            emit(self.observer, "cluster", "submitted", replica=home.index)
+        return result
 
     def run(self, frames: Iterable) -> ClusterStats:
         """Route a whole frame sequence; returns the session stats."""
         for assignment in frames:
             self.submit(assignment)
         return self.stats
-
-    def _account(self, assignment, result, served_by, requeued, spilled):
-        stats = self.stats
-        if is_shed(result):
-            stats.shed_frames += 1
-            if requeued:
-                stats.requeues += 1
-            emit(self.observer, "cluster", "shed", replica=served_by.index)
-            return result
-        stats.frames += 1
-        stats.per_replica[served_by.index] += 1
-        terminals = assignment.total_fanout
-        if hasattr(result, "outcomes"):  # DegradedResult
-            lost = len(result.lost)
-            stats.deliveries += terminals - lost
-            stats.recovered_terminals += len(result.recovered)
-            if result.degraded:
-                stats.degraded_frames += 1
-            if lost:
-                stats.lost_frames += 1
-                stats.lost_terminals += lost
-        else:
-            stats.deliveries += terminals
-        stats.plan_cache_hits += result.plan_cache_hits
-        stats.plan_cache_misses += result.plan_cache_misses
-        if requeued:
-            stats.requeues += 1
-            emit(self.observer, "cluster", "requeued",
-                 replica=served_by.index)
-        elif spilled:
-            stats.spillovers += 1
-            emit(self.observer, "cluster", "spillover",
-                 replica=served_by.index)
-        else:
-            emit(self.observer, "cluster", "submitted",
-                 replica=served_by.index)
-        return result
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> dict:

@@ -26,20 +26,13 @@ import enum
 
 from ..core.fabric import MulticastFabric
 from ..errors import ReproError
-from ..resilience.gate import ShedFrame
 
 __all__ = ["FabricReplica", "ReplicaDownError", "ReplicaState"]
 
-
-def is_shed(result) -> bool:
-    """True for an admission-gate :class:`~repro.resilience.gate.ShedFrame`.
-
-    A type test, not ``result.ok`` — a lost-terminal
-    :class:`~repro.faults.healing.DegradedResult` is also falsy on
-    ``ok`` but *was served* (fault losses are accounted, not retried on
-    a sibling: the siblings share the same fault plan).
-    """
-    return isinstance(result, ShedFrame)
+#: The ``FabricStats`` counters a replica sums over every fabric it ran.
+CARRIED = ("frames", "deliveries", "degraded_frames", "lost_frames",
+           "lost_terminals", "recovered_terminals", "plan_cache_hits",
+           "plan_cache_misses")
 
 
 class ReplicaDownError(ReproError, RuntimeError):
@@ -52,6 +45,11 @@ class ReplicaState(str, enum.Enum):
     UP = "up"
     DRAINING = "draining"
     DOWN = "down"
+
+
+# A module global reads in a fraction of an enum class attribute's
+# time, and ``submit`` tests it on every frame.
+_DOWN = ReplicaState.DOWN
 
 
 class FabricReplica:
@@ -73,6 +71,9 @@ class FabricReplica:
             fabric build — health state is *per replica*, so a shared
             tracker instance would corrupt the state machines; a
             factory lets callers pin thresholds fleet-wide.
+        on_change: optional zero-argument callable, called after every
+            change of the replica's state and of its fabric's plane
+            health (the cluster passes its placement epoch's ``bump``).
     """
 
     def __init__(
@@ -83,6 +84,7 @@ class FabricReplica:
         strict=True,
         retry_policy=None,
         health_factory=None,
+        on_change=None,
     ):
         self.index = index
         self.config = config
@@ -90,13 +92,15 @@ class FabricReplica:
         self.strict = strict
         self.retry_policy = retry_policy
         self.health_factory = health_factory
+        self.on_change = on_change
         self.fabric = self._build()
         self.state = ReplicaState.UP
         self.generation = 0
-        self.frames_served = 0
+        # CARRIED counters of the fabrics that restarts replaced.
+        self._carried = dict.fromkeys(CARRIED, 0)
 
     def _build(self) -> MulticastFabric:
-        return MulticastFabric(
+        fabric = MulticastFabric(
             self.config,
             mode=self.mode,
             strict=self.strict,
@@ -107,6 +111,23 @@ class FabricReplica:
                 else None
             ),
         )
+        fabric.on_health_change = self.on_change
+        return fabric
+
+    def _set_state(self, state: ReplicaState) -> None:
+        self.state = state
+        if self.on_change is not None:
+            self.on_change()
+
+    def total(self, name: str) -> int:
+        """One of the :data:`CARRIED` counters, summed over every
+        fabric this replica has run."""
+        return self._carried[name] + getattr(self.fabric.stats, name)
+
+    @property
+    def frames_served(self) -> int:
+        """Frames this replica has routed, across restarts."""
+        return self.total("frames")
 
     # -- routing-facing signals ----------------------------------------
     @property
@@ -117,7 +138,7 @@ class FabricReplica:
     @property
     def alive(self) -> bool:
         """True when the replica can still serve a frame at all."""
-        return self.state is not ReplicaState.DOWN
+        return self.state is not _DOWN
 
     @property
     def impaired(self) -> bool:
@@ -133,21 +154,18 @@ class FabricReplica:
     # -- serving -------------------------------------------------------
     def submit(self, assignment, priority: int = 0):
         """Route one frame on this replica's fabric."""
-        if self.state is ReplicaState.DOWN:
+        if self.state is _DOWN:
             raise ReplicaDownError(
                 f"replica {self.index} is down (generation "
                 f"{self.generation})"
             )
-        result = self.fabric.submit(assignment, priority=priority)
-        if not is_shed(result):
-            self.frames_served += 1
-        return result
+        return self.fabric.submit(assignment, priority)
 
     # -- lifecycle -----------------------------------------------------
     def drain(self) -> None:
         """Stop taking new placements; keep serving what arrives."""
         if self.state is ReplicaState.UP:
-            self.state = ReplicaState.DRAINING
+            self._set_state(ReplicaState.DRAINING)
 
     def kill(self) -> None:
         """Crash the replica: no snapshot, fabric closed, state DOWN.
@@ -159,7 +177,7 @@ class FabricReplica:
         """
         if self.state is ReplicaState.DOWN:
             return
-        self.state = ReplicaState.DOWN
+        self._set_state(ReplicaState.DOWN)
         self.fabric.close()
 
     def snapshot(self):
@@ -175,12 +193,14 @@ class FabricReplica:
         """
         if self.state is not ReplicaState.DOWN:
             self.fabric.close()
+        for name in CARRIED:
+            self._carried[name] += getattr(self.fabric.stats, name)
         self.fabric = self._build()
         warmed = 0
         if snapshot is not None:
             warmed = snapshot.restore(self.fabric)
-        self.state = ReplicaState.UP
         self.generation += 1
+        self._set_state(ReplicaState.UP)
         return warmed
 
     def close(self) -> None:
@@ -188,7 +208,7 @@ class FabricReplica:
         unless the replica was serving, in which case it goes DOWN)."""
         if self.state is ReplicaState.DOWN:
             return
-        self.state = ReplicaState.DOWN
+        self._set_state(ReplicaState.DOWN)
         self.fabric.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,20 +25,34 @@ partition keeps rendezvous order, and impaired replicas go to the
 back.  DOWN replicas never appear; DRAINING replicas are
 offered only when nothing else serves (they are alive — refusing
 traffic during a single-replica rolling restart would lose frames).
+The resulting order is memoised per fingerprint and
+:class:`PlacementEpoch`: a warm frame whose replicas have not changed
+since its last placement reuses it as is.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from operator import attrgetter
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .replica import FabricReplica, ReplicaState
 
-__all__ = ["ClusterRouter"]
+__all__ = ["ClusterRouter", "PlacementEpoch"]
 
-_index = attrgetter("index")
+
+class PlacementEpoch:
+    """A counter bumped on every change of replica state or plane
+    health.  It refers to nothing, so the replicas and fabrics holding
+    its ``bump`` make no reference cycle with the router."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
 
 
 class ClusterRouter:
@@ -47,10 +61,11 @@ class ClusterRouter:
     The rendezvous rank of a fingerprint depends only on the seed, the
     replica indices and the fingerprint — a replica keeps its index
     across kills and restarts — so it is computed once per fingerprint
-    and memoised in an LRU of at most ``capacity`` entries.  Each frame
-    then only filters the memoised rank by replica state and moves
-    impaired replicas to the back, both read live.  Nothing needs
-    invalidating.
+    and replica indices.  The placement order (the rank filtered
+    by replica state, impaired replicas moved to the back) is kept
+    beside it with the replica list and the :attr:`epoch` it was built
+    for, and served as is while both still hold.  Both live in an LRU
+    of at most ``capacity`` fingerprints.
 
     Args:
         seed: mixed into every placement weight; two routers with the
@@ -58,13 +73,21 @@ class ClusterRouter:
         capacity: most fingerprints whose rank is memoised.  A cluster
             sizes it ``replicas × plan_cache_size``: a fingerprint
             beyond that is cached on no replica and compiles anyway.
+
+    Attributes:
+        epoch: the :class:`PlacementEpoch` to bump whenever a replica
+            passed to :meth:`order` changes ``state`` or ``impaired``
+            (a cluster builds its replicas with
+            ``on_change=epoch.bump``).
     """
 
     def __init__(self, seed: int = 0, capacity: int = 1024):
         self.seed = seed
         self.capacity = capacity
-        # fingerprint -> (replica indices, positions ranked best first)
-        self._ranks: "OrderedDict[str, Tuple[tuple, tuple]]" = OrderedDict()
+        self.epoch = PlacementEpoch()
+        # fingerprint -> [replica list, replica indices, rank (positions
+        #                 into them, best first), epoch, placement order]
+        self._ranks: "OrderedDict[str, list]" = OrderedDict()
 
     def weight(self, fingerprint: str, replica_index: int) -> str:
         """The rendezvous weight of one (assignment, replica) pair.
@@ -87,6 +110,18 @@ class ClusterRouter:
             )
         )
 
+    @staticmethod
+    def _place(ranked: List[FabricReplica]) -> List[FabricReplica]:
+        """UP replicas of ``ranked`` (DRAINING when none is UP),
+        unimpaired before impaired, each part in rank order."""
+        pool = [r for r in ranked if r.state is ReplicaState.UP] or [
+            r for r in ranked if r.state is ReplicaState.DRAINING
+        ]
+        healthy, impaired = [], []
+        for r in pool:
+            (impaired if r.impaired else healthy).append(r)
+        return healthy + impaired
+
     def order(
         self, fingerprint: str, replicas: Sequence[FabricReplica]
     ) -> List[FabricReplica]:
@@ -97,22 +132,21 @@ class ClusterRouter:
         fully-draining cluster still serves.  DOWN replicas are never
         returned.  Empty means the cluster has no alive replica.
         """
-        indices = tuple(map(_index, replicas))
         ranks = self._ranks
         memo = ranks.get(fingerprint)
-        if memo is not None and memo[0] == indices:
+        epoch = self.epoch.value
+        if memo is not None and memo[0] is replicas and memo[3] == epoch:
+            ranks.move_to_end(fingerprint)
+            return list(memo[4])
+        indices = tuple(r.index for r in replicas)
+        if memo is not None and memo[1] == indices:
             ranks.move_to_end(fingerprint)
         else:
-            memo = indices, self._rank(fingerprint, indices)
+            memo = [None, indices, self._rank(fingerprint, indices)]
             ranks.pop(fingerprint, None)
             ranks[fingerprint] = memo
             if len(ranks) > self.capacity:
                 ranks.popitem(last=False)
-        ranked = [replicas[p] for p in memo[1]]
-        pool = [r for r in ranked if r.state is ReplicaState.UP] or [
-            r for r in ranked if r.state is ReplicaState.DRAINING
-        ]
-        healthy, impaired = [], []
-        for r in pool:
-            (impaired if r.impaired else healthy).append(r)
-        return healthy + impaired
+        memo[0] = replicas
+        memo[3:] = epoch, self._place([replicas[p] for p in memo[2]])
+        return list(memo[4])

@@ -154,6 +154,12 @@ class NetworkConfig:
                 "control must be a ControlPolicy-like object (with a "
                 f"'tick_frames'), got {type(self.control).__name__}"
             )
+        if self.control is not None and self.admission is None:
+            raise ValueError(
+                "control requires admission: the control plane retunes "
+                "the admission gate, so control without admission could "
+                "never act"
+            )
         if self.snapshot_path is not None and not isinstance(
             self.snapshot_path, str
         ):

@@ -8,7 +8,7 @@ route long *sequences* of frames and care about aggregate statistics.
 
 * per-frame verification (configurable to raise or record),
 * aggregate counters (frames, deliveries, splits, switch operations),
-* a running fanout histogram,
+* a fanout histogram,
 
 so examples and benches can express sessions in three lines.
 
@@ -46,6 +46,8 @@ from .verification import verify_result
 
 __all__ = ["FabricStats", "MulticastFabric"]
 
+_PRIVATE = dict(init=False, repr=False, compare=False)
+
 
 @dataclass
 class FabricStats:
@@ -74,14 +76,17 @@ class FabricStats:
             routed; not counted in ``frames``).
         deadline_expired_frames: frames whose healing loop was cut
             short by the deadline budget.
+
+    ``fanout_histogram``, ``splits`` and ``switch_ops`` are read-only
+    and folded on read: a frame on a fault-free plane only counts one
+    more use of its assignment in a ledger keyed on the assignment's
+    memoised ``fanout_counts()`` (never the assignment itself), folded
+    early once it holds ``plan_cache_size`` assignments.
     """
 
     frames: int = 0
     deliveries: int = 0
-    splits: int = 0
-    switch_ops: int = 0
     failures: List[str] = field(default_factory=list)
-    fanout_histogram: Counter = field(default_factory=Counter)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     degraded_frames: int = 0
@@ -92,6 +97,44 @@ class FabricStats:
     standby_frames: int = 0
     shed_frames: int = 0
     deadline_expired_frames: int = 0
+    # The ledger, id(fanout) -> [fanout, splits, switch_ops, frames],
+    # and the folded [fanout_histogram, splits, switch_ops].
+    _pending: dict = field(default_factory=dict, **_PRIVATE)
+    _totals: list = field(
+        default_factory=lambda: [Counter(), 0, 0], **_PRIVATE
+    )
+    _fold_at: int = field(default=256, **_PRIVATE)
+
+    def _count(self, fanout, result) -> None:
+        """One more fault-free frame of the assignment whose memoised
+        ``fanout_counts()`` is ``fanout``."""
+        entry = self._pending.get(id(fanout))
+        if entry is not None:
+            entry[3] += 1
+            return
+        if len(self._pending) >= self._fold_at:
+            self._fold()
+        self._pending[id(fanout)] = [
+            fanout, result.total_splits, result.switch_ops, 1
+        ]
+
+    def _add(self, fanout, splits: int, switch_ops: int, frames: int = 1):
+        """Add ``frames`` frames of one assignment to the totals now."""
+        totals = self._totals
+        for size, inputs in fanout.items():
+            totals[0][size] += inputs * frames
+        totals[1] += splits * frames
+        totals[2] += switch_ops * frames
+
+    def _fold(self) -> list:
+        for entry in self._pending.values():
+            self._add(*entry)
+        self._pending.clear()
+        return self._totals
+
+    fanout_histogram = property(lambda self: self._fold()[0])
+    splits = property(lambda self: self._fold()[1])
+    switch_ops = property(lambda self: self._fold()[2])
 
     @property
     def mean_fanout(self) -> float:
@@ -183,7 +226,10 @@ class MulticastFabric:
         self.strict = strict
         self.engine = cfg.engine
         self.observer = cfg.observer
-        self.stats = FabricStats()
+        self.stats = self._new_stats()
+        # Called after every change of plane health; a cluster's
+        # placement memo listens (see repro.cluster.router).
+        self.on_health_change = None
         self.deadline_ms = cfg.deadline_ms
         self.gate = (
             None
@@ -262,14 +308,20 @@ class MulticastFabric:
         """The plain path: route on ``network``, verify, account."""
         result = network.route(assignment, mode=self.mode)
         report = verify_result(result)
+        stats = self.stats
         if not report.ok:
-            msg = (
-                f"frame {self.stats.frames}: " + "; ".join(report.violations)
-            )
+            msg = f"frame {stats.frames}: " + "; ".join(report.violations)
             if self.strict:
                 raise RoutingInvariantError(msg)
-            self.stats.failures.append(msg)
-        self._account(assignment, result, report.deliveries)
+            stats.failures.append(msg)
+        stats.frames += 1
+        stats.deliveries += report.deliveries
+        hit = result.plan_cache_hit
+        if hit:
+            stats.plan_cache_hits += 1
+        elif hit is False:
+            stats.plan_cache_misses += 1
+        stats._count(assignment.fanout_counts(), result)
         return result
 
     def _submit_healed(self, assignment):
@@ -285,32 +337,37 @@ class MulticastFabric:
                 else DeadlineBudget(self.deadline_ms)
             ),
         )
-        self._account(assignment, result, result.verification.deliveries)
-        self.stats.recovered_terminals += len(result.recovered)
+        stats = self.stats
+        stats.frames += 1
+        stats.deliveries += result.verification.deliveries
+        stats.plan_cache_hits += result.plan_cache_hits
+        stats.plan_cache_misses += result.plan_cache_misses
+        stats._add(
+            assignment.fanout_counts(), result.total_splits, result.switch_ops
+        )
+        stats.recovered_terminals += len(result.recovered)
         if result.degraded:
-            self.stats.degraded_frames += 1
+            stats.degraded_frames += 1
         if result.lost:
-            self.stats.lost_frames += 1
-            self.stats.lost_terminals += len(result.lost)
-            self.stats.failures.append(
-                f"frame {self.stats.frames - 1}: lost terminals "
+            stats.lost_frames += 1
+            stats.lost_terminals += len(result.lost)
+            stats.failures.append(
+                f"frame {stats.frames - 1}: lost terminals "
                 f"{list(result.lost)} after {result.attempts} attempts"
             )
         if result.deadline_expired:
-            self.stats.deadline_expired_frames += 1
+            stats.deadline_expired_frames += 1
         self._record_health(result.degraded)
         return result
 
-    def _account(self, assignment, result, deliveries: int) -> None:
-        """Add one routed frame to the session statistics."""
-        stats = self.stats
-        stats.frames += 1
-        stats.deliveries += deliveries
-        stats.splits += result.total_splits
-        stats.switch_ops += result.switch_ops
-        stats.plan_cache_hits += result.plan_cache_hits
-        stats.plan_cache_misses += result.plan_cache_misses
-        stats.fanout_histogram.update(assignment.fanout_counts())
+    def _new_stats(self) -> FabricStats:
+        stats = FabricStats()
+        stats._fold_at = self.config.plan_cache_size
+        return stats
+
+    def _health_changed(self) -> None:
+        if self.on_health_change is not None:
+            self.on_health_change()
 
     def _record_health(self, degraded: bool) -> None:
         """Feed one frame into the health tracker; emit transitions."""
@@ -320,6 +377,7 @@ class MulticastFabric:
         if after is not before:
             kind = "readmitted" if after.value == "healthy" else after.value
             emit(self.observer, "fabric", kind)
+            self._health_changed()
 
     def run(self, frames: Iterable[MulticastAssignment]) -> FabricStats:
         """Route a whole frame sequence; returns the session statistics."""
@@ -370,10 +428,11 @@ class MulticastFabric:
     def reset(self) -> None:
         """Clear the session statistics and health state (the network
         itself is stateless)."""
-        self.stats = FabricStats()
+        self.stats = self._new_stats()
         if self.health is not None:
             self.health = HealthTracker(
                 fail_threshold=self.health.fail_threshold,
                 quarantine_frames=self.health.quarantine_frames,
                 probe_frames=self.health.probe_frames,
             )
+            self._health_changed()

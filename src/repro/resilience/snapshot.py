@@ -109,6 +109,7 @@ class FabricSnapshot:
             )
         if self.health is not None and fabric.health is not None:
             fabric.health.restore(self.health)
+            fabric._health_changed()
         emit(fabric.observer, "resilience.snapshot", "snapshot_restored",
              plans=warmed)
         return warmed

@@ -168,27 +168,107 @@ def _rendezvous_order(router, fingerprint, replicas):
 
 
 class _Stub:
-    """The three replica attributes the router reads."""
+    """The three replica attributes the router reads.  Like a
+    :class:`~repro.cluster.replica.FabricReplica` built by a cluster, it
+    calls ``on_change`` (the router's epoch bump) after each change."""
 
-    def __init__(self, index):
+    def __init__(self, index, on_change=lambda: None):
         self.index = index
         self.state = ReplicaState.UP
         self.impaired = False
+        self.on_change = on_change
+
+    def set(self, state, impaired):
+        self.state, self.impaired = state, impaired
+        self.on_change()
 
 
 class TestRankMemo:
     def test_memo_equals_rendezvous_under_every_state_mix(self):
         router = ClusterRouter(seed=5, capacity=8)
-        replicas = [_Stub(i) for i in range(3)]
+        replicas = [_Stub(i, router.epoch.bump) for i in range(3)]
         fps = fingerprints(count=12, seed=3)
         per_replica = list(itertools.product(ReplicaState, (False, True)))
+        mixes = 0
         for mix in itertools.product(per_replica, repeat=len(replicas)):
+            mixes += 1
             for r, (state, impaired) in zip(replicas, mix):
-                r.state, r.impaired = state, impaired
+                r.set(state, impaired)
             for fp in fps:
-                got = router.order(fp, replicas)
-                assert got == _rendezvous_order(router, fp, replicas)
+                # The second call is answered from the epoch's memo.
+                for _ in range(2):
+                    got = router.order(fp, replicas)
+                    assert got == _rendezvous_order(router, fp, replicas)
+        assert mixes == 216
         assert len(router._ranks) == 8
+
+    def test_health_transitions_mid_campaign(self):
+        """Quarantine, probation and re-admission each move a replica
+        between the unimpaired and impaired parts of every order."""
+        from repro import FaultKind, FaultPlan
+        from repro.faults.health import HealthTracker, PlaneState
+
+        c = FabricCluster(
+            ClusterConfig(
+                replicas=3,
+                network=NetworkConfig(
+                    16,
+                    engine="fast",
+                    fault_plan=FaultPlan.random(
+                        16, faults=6, seed=2, kinds=[FaultKind.DEAD_SWITCH]
+                    ),
+                ),
+                placement_seed=4,
+            ),
+            health_factory=lambda: HealthTracker(
+                fail_threshold=1, quarantine_frames=3, probe_frames=1
+            ),
+        )
+        try:
+            rng = random.Random(9)
+            pool = [make_random_assignment(16, rng) for _ in range(8)]
+            fps = [assignment_fingerprint(a) for a in pool]
+            seen = set()
+            for i in range(300):
+                c.submit(pool[i % len(pool)])
+                for r in c.replicas:
+                    seen.add(r.fabric.health.state)
+                for fp in fps:
+                    assert c.router.order(fp, c.replicas) == _rendezvous_order(
+                        c.router, fp, c.replicas
+                    )
+            assert seen == set(PlaneState)
+            assert sum(r.fabric.health.readmissions for r in c.replicas) > 0
+        finally:
+            c.close()
+
+    def test_draining_only_fallback_and_back(self):
+        c = cluster_of(3, seed=6)
+        try:
+            fps = fingerprints(count=10, seed=8)
+
+            def check():
+                for fp in fps:
+                    for _ in range(2):
+                        assert c.router.order(fp, c.replicas) == _rendezvous_order(
+                            c.router, fp, c.replicas
+                        )
+
+            check()
+            for r in c.replicas:
+                r.drain()
+                check()
+            assert {r.state for r in c.router.order(fps[0], c.replicas)} == {
+                ReplicaState.DRAINING
+            }
+            c.replicas[1].restart()
+            check()
+            assert [r.index for r in c.router.order(fps[0], c.replicas)] == [1]
+            c.kill_replica(1)
+            check()
+            assert {r.index for r in c.router.order(fps[0], c.replicas)} == {0, 2}
+        finally:
+            c.close()
 
     def test_memo_follows_a_kill_and_a_restart(self):
         c = cluster_of(3, seed=2)
@@ -221,6 +301,10 @@ class TestRankMemo:
             assert router.order(fp, replicas) == _rendezvous_order(
                 router, fp, replicas
             )
+        # An in-place edit of the list, announced by an epoch bump.
+        three[1] = _Stub(5)
+        router.epoch.bump()
+        assert router.order(fp, three) == _rendezvous_order(router, fp, three)
 
     def test_memo_stays_within_its_bound_under_cold_traffic(self):
         c = cluster_of(2, plan_cache_size=4)

@@ -48,6 +48,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkConfig(8, plan_cache_size=0)
 
+    def test_control_without_admission_rejected(self):
+        """A control plane retunes the admission gate; without one it
+        would tick on every submit and never decide anything."""
+        with pytest.raises(ValueError, match="control requires admission"):
+            NetworkConfig(8, engine="fast", control=ControlPolicy())
+        with pytest.raises(ValueError, match="control requires admission"):
+            NetworkConfig(8).derive(control=ControlPolicy())
+
     def test_bad_executor_rejected(self):
         """The removed ``executor`` option is an unknown field."""
         with pytest.raises(TypeError, match="executor"):
